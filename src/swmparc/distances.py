@@ -1,13 +1,27 @@
 """Streamline distance kernels: MDF, medial-aligned MDF, and the symmetric
-bundle cost minimized by registration."""
+bundle cost minimized by registration.
+
+`mdf`, `mmea` and `bundle_min_distance` work from point differences; they are
+the references the fast path is tested against.  The fast path is one fused
+kernel, `MdfKernel`, used by `pairwise_mdf` (and so `pairwise_mmea`) and by
+the registration cost.  It stores the static stack once as an augmented block
+holding [-2b; 1; |b|^2] for the direct and the point-reversed streamlines side
+by side, so that moving rows [a, |a|^2, 1] give every squared point distance,
+direct and flipped, in one batched matmul.  Its row chunks are sized by an
+element budget on the (K, rows, 2m) distance block, `_BLOCK_ELEMENTS`, and its
+workspaces are allocated once per kernel: the registration builds one kernel
+per registration and reuses it for every cost evaluation.
+"""
 from __future__ import annotations
 
 import numpy as np
 
 from .geometry import midpoints
 
-# Pairwise blocks are evaluated in chunks to bound the (K, n, m) temporaries.
-_CHUNK = 2048
+# Most float64 values one (K, rows, 2m) point-distance block of the fused
+# kernel may hold (8 MB); rows, and columns when one row is wider, are
+# chunked to stay within it.  Smaller blocks cost no measurable time.
+_BLOCK_ELEMENTS = 1 << 20
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -41,41 +55,95 @@ def mmea(a, b) -> float:
     return mdf(a - a[k], b - b[k])
 
 
+def augment(points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Moving rows [a, |a|^2, 1] of points laid out (K, n, 3), as (K, n, 5)."""
+    # |a|^2 from a contiguous array: einsum adds up a strided view in another
+    # order, which moves the last bit of the distances
+    points = np.ascontiguousarray(points)
+    aug = np.empty(points.shape[:2] + (5,)) if out is None else out
+    aug[..., :3] = points
+    np.einsum("knc,knc->kn", points, points, out=aug[..., 3])
+    aug[..., 4] = 1.0
+    return aug
+
+
+def static_block(B: np.ndarray) -> np.ndarray:
+    """Augmented static block of an (m, K, 3) stack, shape (K, 5, 2m).
+
+    Column j holds [-2b; 1; |b|^2] for point k of streamline j, column m + j
+    the same for streamline j point-reversed.  A moving row [a, |a|^2, 1]
+    (`augment`) times a column is |a - b|^2, so one batched matmul gives the
+    direct and the flipped point distances of every pair.
+    """
+    m, k = B.shape[:2]
+    Bt = np.ascontiguousarray(B.transpose(1, 2, 0))  # (K, 3, m), contiguous as in `augment`
+    block = np.empty((k, 5, 2 * m))
+    np.multiply(Bt, -2.0, out=block[:, :3, :m])
+    block[:, :3, m:] = block[::-1, :3, :m]
+    block[:, 3] = 1.0
+    np.einsum("kcm,kcm->km", Bt, Bt, out=block[:, 4, :m])
+    block[:, 4, m:] = block[::-1, 4, :m]
+    return block
+
+
+class MdfKernel:
+    """Fused all-pairs MDF against one static (m, K, 3) stack.
+
+    The static side is built once as augmented blocks (`static_block`).  A
+    call takes augmented moving rows (`augment`) and per block does one
+    batched matmul, a clamp (the |a|^2 + |b|^2 - 2 a.b expansion can go slightly
+    negative under rounding), a sqrt and a sum over K, then keeps the smaller
+    of the direct and flipped halves.  Static columns are split into blocks
+    and moving rows into chunks so that no (K, rows, 2 columns) distance block
+    holds more than `_BLOCK_ELEMENTS` values.  The workspaces are allocated
+    once, for moving sets of up to ``n`` streamlines, and reused by every call,
+    so an instance must not be shared between threads.
+    """
+
+    def __init__(self, B: np.ndarray, n: int):
+        B = np.asarray(B, dtype=np.float64)
+        m, k = B.shape[:2]
+        width = min(m, max(1, _BLOCK_ELEMENTS // (2 * k)))
+        self.rows = max(1, min(n, _BLOCK_ELEMENTS // (2 * k * width)))
+        self.blocks = [(lo, static_block(B[lo:lo + width])) for lo in range(0, m, width)]
+        self._dist = np.empty(k * self.rows * 2 * width)
+        self._sums = np.empty(self.rows * 2 * width)
+
+    def __call__(self, aug: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """MDF of the moving rows ``aug`` (K, n, 5) to every static streamline,
+        written into ``out`` of shape (n, m)."""
+        k, n = aug.shape[:2]
+        for c0, block in self.blocks:
+            c = block.shape[2] // 2
+            for lo in range(0, n, self.rows):
+                r = min(self.rows, n - lo)
+                dist = self._dist[:k * r * 2 * c].reshape(k, r, 2 * c)
+                np.matmul(aug[:, lo:lo + r], block, out=dist)
+                np.maximum(dist, 0.0, out=dist)
+                np.sqrt(dist, out=dist)
+                sums = dist.sum(axis=0, out=self._sums[:r * 2 * c].reshape(r, 2 * c))
+                np.minimum(sums[:, :c], sums[:, c:], out=out[lo:lo + r, c0:c0 + c])
+        out /= k
+        return out
+
+
 def pairwise_mdf(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """All-pairs MDF between two (n, K, 3) stacks, returned as (n, m).
 
-    Point distances come from the |a|^2 + |b|^2 - 2 a.b expansion so the heavy
-    lifting is K batched matmuls instead of an (n, m, K, 3) broadcast; the
-    expansion can go slightly negative under rounding, hence the clamp.
+    Runs `MdfKernel` on row chunks of A, so the augmented rows and the
+    distance blocks stay within the `_BLOCK_ELEMENTS` budget whatever n and m.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     if A.shape[1:] != B.shape[1:]:
         raise ValueError("stacks must share the same (K, 3) streamline shape")
-    n, m = A.shape[0], B.shape[0]
-    k = A.shape[1]
-    Bt = np.ascontiguousarray(B.transpose(1, 2, 0))  # (K, 3, m)
-    Btrev = np.ascontiguousarray(Bt[::-1])
-    b2 = np.einsum("kcm,kcm->km", Bt, Bt)
-    b2rev = b2[::-1]
-    out = np.empty((n, m))
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        At = np.ascontiguousarray(A[lo:hi].transpose(1, 0, 2))  # (K, chunk, 3)
-        a2 = np.einsum("knc,knc->kn", At, At)
-        d2 = At @ Bt
-        d2 *= -2.0
-        d2 += a2[:, :, None]
-        d2 += b2[:, None, :]
-        np.maximum(d2, 0.0, out=d2)
-        direct = np.sqrt(d2, out=d2).mean(axis=0)
-        d2 = At @ Btrev
-        d2 *= -2.0
-        d2 += a2[:, :, None]
-        d2 += b2rev[:, None, :]
-        np.maximum(d2, 0.0, out=d2)
-        flipped = np.sqrt(d2, out=d2).mean(axis=0)
-        out[lo:hi] = np.minimum(direct, flipped)
+    n = A.shape[0]
+    out = np.empty((n, B.shape[0]))
+    if out.size:
+        kernel = MdfKernel(B, n)
+        for lo in range(0, n, kernel.rows):
+            hi = lo + kernel.rows
+            kernel(augment(A[lo:hi].transpose(1, 0, 2)), out[lo:hi])
     return out
 
 
@@ -95,5 +163,11 @@ def bundle_min_distance(A, B) -> float:
     B = np.asarray(B, dtype=np.float64)
     if len(A) == 0 or len(B) == 0:
         raise ValueError("bundle_min_distance needs non-empty sets")
-    d = pairwise_mdf(A, B)
+    if A.shape[1:] != B.shape[1:]:
+        raise ValueError("sets must share the same (K, 3) streamline shape")
+    # point differences, not the matmul expansion: this is the reference the
+    # fused kernel is tested against
+    flipped = B[:, ::-1]
+    d = np.array([np.minimum(np.linalg.norm(B - a, axis=2).mean(axis=1),
+                             np.linalg.norm(flipped - a, axis=2).mean(axis=1)) for a in A])
     return float(0.5 * (d.min(axis=1).mean() + d.min(axis=0).mean()))

@@ -7,6 +7,7 @@ the spatial grid, never precomputed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,9 @@ from scipy.spatial.transform import Rotation
 
 from .clustering import cluster_centroids, quickbundles
 from .config import RunConfig
-from .distances import bundle_min_distance
+from .distances import MdfKernel, augment
+# the brute-force form of RigidCost, still importable from this module
+from .distances import bundle_min_distance  # noqa: F401
 from .spatial import StreamlineGrid
 
 
@@ -96,30 +99,88 @@ def _params_to_transform(x: np.ndarray, pivot: np.ndarray) -> RigidTransform:
     return RigidTransform(x[:3], x[3:], pivot)
 
 
+def euler_xyz_matrix(ax: float, ay: float, az: float) -> np.ndarray:
+    """Rotation matrix of intrinsic x-y-z Euler angles in degrees, in closed form.
+
+    Composes the three half-angle quaternions and expands the product into a
+    matrix with the operations in the order scipy's `Rotation` uses, so it
+    matches `RigidTransform.rotation_matrix` to the last bit in practice, and
+    the registration takes the same optimizer path with either.
+    """
+    ha, hb, hc = math.radians(ax) / 2.0, math.radians(ay) / 2.0, math.radians(az) / 2.0
+    sa, ca = math.sin(ha), math.cos(ha)
+    sb, cb = math.sin(hb), math.cos(hb)
+    sc, cc = math.sin(hc), math.cos(hc)
+    # quaternion (x, y, z, w) of the x then y rotation, then of all three
+    x1, y1, z1, w1 = cb * sa, ca * sb, sa * sb, ca * cb
+    x = cc * x1 + y1 * sc
+    y = cc * y1 - x1 * sc
+    z = w1 * sc + cc * z1
+    w = w1 * cc - z1 * sc
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return np.array([
+        [x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
+        [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
+        [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2],
+    ])
+
+
+class RigidCost:
+    """Symmetric bundle distance of a rigidly moved set to a static one, as a
+    function of the 6 parameters (rotation degrees, translation mm) about the
+    moving set's barycenter.
+
+    Equals ``bundle_min_distance(RigidTransform(x[:3], x[3:], pivot).apply(
+    moving), static)`` up to rounding.  What does not depend on the
+    parameters is built once: the moving set centred on the pivot in a
+    (K, n, 3) layout, the static side as an `MdfKernel`, and workspaces for
+    the moved points, their augmented rows and the MDF matrix.  A call builds
+    the rotation in closed form, rotates and translates into the workspace and
+    runs the kernel.  Not safe to share between threads.
+    """
+
+    def __init__(self, moving: np.ndarray, static: np.ndarray):
+        self.pivot = moving.reshape(-1, 3).mean(axis=0)
+        self._centred = np.ascontiguousarray((moving - self.pivot).transpose(1, 0, 2))
+        self._moved = np.empty_like(self._centred)
+        self._rows = np.empty(self._centred.shape[:2] + (5,))
+        self._kernel = MdfKernel(static, len(moving))
+        self._mdf = np.empty((len(moving), len(static)))
+        self.evaluations = 0
+
+    def __call__(self, x: np.ndarray) -> float:
+        self.evaluations += 1
+        moved = np.matmul(self._centred, euler_xyz_matrix(x[0], x[1], x[2]).T, out=self._moved)
+        moved += self.pivot
+        moved += x[3:]
+        d = self._kernel(augment(moved, self._rows), self._mdf)
+        n, m = d.shape
+        # sum / count is what mean() computes, without its per-call overhead
+        return float(0.5 * (d.min(axis=1).sum() / n + d.min(axis=0).sum() / m))
+
+
 def sbr_rigid(moving: np.ndarray, static: np.ndarray, config: RunConfig | None = None) -> RegistrationResult:
     """Rigid registration of a moving streamline set onto a static one.
 
     Minimizes the symmetric bundle distance over 6 parameters with two
     Nelder-Mead stages (coarse then fine initial simplex).  The pivot is the
-    moving set's barycenter.  Deterministic: fixed initial simplex, no
-    randomness.  Never raises on optimizer failure; if no parameter set beats
-    the initial cost the identity transform is returned with converged=False.
+    moving set's barycenter.  The cost is one `RigidCost` per call, so its
+    static block and workspaces are built once per registration, not per
+    evaluation, and never shared between threads.  Deterministic: fixed
+    initial simplex, no randomness.  Never raises on optimizer failure; if no
+    parameter set beats the initial cost the identity transform is returned
+    with converged=False.
     """
     cfg = config or RunConfig()
     moving = np.asarray(moving, dtype=np.float64)
     static = np.asarray(static, dtype=np.float64)
     if len(moving) == 0 or len(static) == 0:
         raise ValueError("registration needs non-empty streamline sets")
+    if moving.shape[1:] != static.shape[1:]:
+        raise ValueError("streamline sets must share the same (K, 3) shape")
 
-    pivot = moving.reshape(-1, 3).mean(axis=0)
-
-    evaluations = 0
-
-    def cost(x: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        t = _params_to_transform(x, pivot)
-        return bundle_min_distance(t.apply(moving), static)
+    cost = RigidCost(moving, static)
 
     x0 = np.zeros(6)
     initial_cost = cost(x0)
@@ -128,7 +189,7 @@ def sbr_rigid(moving: np.ndarray, static: np.ndarray, config: RunConfig | None =
             transform=RigidTransform.identity(),
             initial_cost_mm=initial_cost,
             final_cost_mm=initial_cost,
-            iterations=evaluations,
+            iterations=cost.evaluations,
             converged=True,
         )
 
@@ -163,14 +224,14 @@ def sbr_rigid(moving: np.ndarray, static: np.ndarray, config: RunConfig | None =
             transform=RigidTransform.identity(),
             initial_cost_mm=initial_cost,
             final_cost_mm=initial_cost,
-            iterations=evaluations,
+            iterations=cost.evaluations,
             converged=False,
         )
     return RegistrationResult(
-        transform=_params_to_transform(best_x, pivot),
+        transform=_params_to_transform(best_x, cost.pivot),
         initial_cost_mm=initial_cost,
         final_cost_mm=best_cost,
-        iterations=evaluations,
+        iterations=cost.evaluations,
         converged=True,
     )
 

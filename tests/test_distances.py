@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swmparc.distances as dist
 from swmparc.distances import bundle_min_distance, mdf, mmea, pairwise_mdf, pairwise_mmea
@@ -60,11 +62,53 @@ def test_pairwise_mdf_matches_scalar_kernel(rng):
 
 
 def test_pairwise_mdf_chunking(rng, monkeypatch):
-    monkeypatch.setattr(dist, "_CHUNK", 3)
     A = random_streamlines(rng, 10)
     B = random_streamlines(rng, 4)
     slow = np.array([[mdf(a, b) for b in B] for a in A])
-    assert np.abs(pairwise_mdf(A, B) - slow).max() < 1e-9
+    # three rows of all four columns a chunk; then one row of three columns,
+    # so the static side splits into two blocks
+    for budget in (2 * 21 * 4 * 3, 2 * 21 * 3):
+        monkeypatch.setattr(dist, "_BLOCK_ELEMENTS", budget)
+        assert np.abs(pairwise_mdf(A, B) - slow).max() < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pairwise_mdf_matches_scalar_kernel_in_chunks(data):
+    # shapes and the budget come from hypothesis, the points from a seeded
+    # generator: the expansion is only accurate to 1e-9 away from coincident
+    # points (see test_pairwise_self_distance_near_zero)
+    n = data.draw(st.integers(1, 30), label="n")
+    m = data.draw(st.integers(1, 30), label="m")
+    k = data.draw(st.integers(1, 10).map(lambda h: 2 * h + 1), label="K")
+    budget = data.draw(st.integers(2 * k, 2 * k * m * n), label="budget")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    A = random_streamlines(rng, n, k=k)
+    B = random_streamlines(rng, m, k=k)
+    slow = np.array([[mdf(a, b) for b in B] for a in A])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dist, "_BLOCK_ELEMENTS", budget)
+        assert np.abs(pairwise_mdf(A, B) - slow).max() < 1e-9
+
+
+def test_kernel_blocks_stay_within_budget_for_large_m(rng):
+    # one row of the distance block is 2m x K = 840,000 values; n only sets
+    # how many row chunks a call makes
+    n, m, k = 1_000_000, 20_000, 21
+    kernel = dist.MdfKernel(np.zeros((m, k, 3)), n)
+    assert kernel.rows * 2 * m * k <= dist._BLOCK_ELEMENTS
+    assert kernel._dist.size <= dist._BLOCK_ELEMENTS
+    # past one row per block the static side splits into column blocks too
+    A = random_streamlines(rng, 5, k=k)
+    B = random_streamlines(rng, 40, k=k)
+    slow = np.array([[mdf(a, b) for b in B] for a in A])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dist, "_BLOCK_ELEMENTS", 2 * k * 7)
+        kernel = dist.MdfKernel(B, len(A))
+        assert kernel._dist.size <= 2 * k * 7
+        assert [lo for lo, _ in kernel.blocks] == list(range(0, 40, 7))
+        out = kernel(dist.augment(A.transpose(1, 0, 2)), np.empty((5, 40)))
+    assert np.abs(out - slow).max() < 1e-9
 
 
 def test_pairwise_self_distance_near_zero(rng):
