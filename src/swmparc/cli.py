@@ -59,7 +59,10 @@ def _load_config(path: str | None, args) -> RunConfig:
     if overrides:
         d = cfg.to_dict()
         d.update(overrides)
-        cfg = RunConfig.from_dict(d)
+        try:
+            cfg = RunConfig.from_dict(d)
+        except ValueError as e:
+            raise CliInputError(f"bad option: {e}") from e
     return cfg
 
 

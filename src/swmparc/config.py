@@ -3,7 +3,9 @@ outputs so any run can be replayed exactly."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 FEATURE_NAMES = (
@@ -54,6 +56,19 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown features: {sorted(unknown)}")
         self.features = tuple(self.features)
+        for name in ("neighborhood_factor", "qb_threshold_global_mm", "qb_threshold_local_mm",
+                     "ba_threshold_mm", "grid_cell_mm", "coarse_step_deg", "coarse_step_mm",
+                     "fine_step_deg", "fine_step_mm"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and 0.0 < value < math.inf):
+                raise ValueError(f"{name} must be a positive finite number")
+        tol = self.cost_tolerance_mm
+        if not (isinstance(tol, Real) and tol >= 0.0):
+            raise ValueError("cost_tolerance_mm must be a number >= 0")
+        for name, least in (("workers", 0), ("max_cost_evaluations", 1), ("min_fit_samples", 2)):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}")
         self.pbe_min_counts = tuple(int(c) for c in self.pbe_min_counts)
 
     def to_dict(self) -> dict:

@@ -13,7 +13,9 @@ samples are strictly positive; the shift is recorded in the fit and undone by
 pdf/cdf/quantile.  Normal and log-normal parameters are closed form; gamma,
 beta, and burr use a moment-initialized Nelder-Mead descent on the negative
 log-likelihood (at most 300 cost evaluations), which keeps every fit
-deterministic.
+deterministic.  The descent is `optimize.nelder_mead`, the optimizer that
+rigid SBR uses too, started from scipy's default simplex; the gamma and beta
+likelihoods take the sample sums they need once per fit, not per evaluation.
 """
 from __future__ import annotations
 
@@ -21,8 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import betainc, betaln, gammainc, gammaln, ndtr, ndtri
+
+from .optimize import default_simplex, nelder_mead
 
 FAMILIES = ("normal", "log-normal", "gamma", "beta", "burr")
 
@@ -216,11 +219,10 @@ def _sane_params(*values, lo: float = 1e-6, hi: float = 1e6) -> bool:
 
 
 def _mle_descent(nll, x0: np.ndarray) -> np.ndarray | None:
-    res = minimize(nll, x0, method="Nelder-Mead",
-                   options={"maxfev": _MLE_MAX_EVALS, "fatol": 1e-8, "xatol": 1e-8})
-    if not np.isfinite(res.fun):
+    x, fun, _ = nelder_mead(nll, default_simplex(x0), _MLE_MAX_EVALS, xatol=1e-8, fatol=1e-8)
+    if not math.isfinite(fun):
         return None
-    return np.asarray(res.x, dtype=np.float64)
+    return x
 
 
 def _fit_normal(x: np.ndarray) -> FittedDistribution:
@@ -246,14 +248,15 @@ def _fit_gamma(x: np.ndarray) -> FittedDistribution | None:
         return None
     shape0 = mean * mean / var
     scale0 = var / mean
-    logy = np.log(y)
+    sum_logy = float(np.log(y).sum())
+    sum_y = float(y.sum())
     n = len(y)
 
     def nll(t):
         a, s = math.exp(t[0]), math.exp(t[1])
         if not (math.isfinite(a) and math.isfinite(s)) or a <= 0 or s <= 0:
             return math.inf
-        return -((a - 1.0) * logy.sum() - y.sum() / s
+        return -((a - 1.0) * sum_logy - sum_y / s
                  - n * (gammaln(a) + a * math.log(s)))
 
     t = _mle_descent(nll, np.log([shape0, scale0]))
@@ -277,15 +280,15 @@ def _fit_beta(x: np.ndarray) -> FittedDistribution | None:
     common = max(m * (1.0 - m) / v - 1.0, 1e-3)
     a0 = max(m * common, 1e-3)
     b0 = max((1.0 - m) * common, 1e-3)
-    logu = np.log(u)
-    log1mu = np.log1p(-u)
+    sum_logu = float(np.log(u).sum())
+    sum_log1mu = float(np.log1p(-u).sum())
     n = len(u)
 
     def nll(t):
         a, b = math.exp(t[0]), math.exp(t[1])
         if not (math.isfinite(a) and math.isfinite(b)):
             return math.inf
-        return -((a - 1.0) * logu.sum() + (b - 1.0) * log1mu.sum() - n * betaln(a, b))
+        return -((a - 1.0) * sum_logu + (b - 1.0) * sum_log1mu - n * betaln(a, b))
 
     t = _mle_descent(nll, np.log([a0, b0]))
     if t is None:

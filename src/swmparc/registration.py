@@ -11,12 +11,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.spatial.transform import Rotation
 
 from .clustering import cluster_centroids, quickbundles
 from .config import RunConfig
 from .distances import MdfKernel, augment
+from .optimize import nelder_mead
 # the brute-force form of RigidCost, still importable from this module
 from .distances import bundle_min_distance  # noqa: F401
 from .spatial import StreamlineGrid
@@ -164,13 +164,20 @@ def sbr_rigid(moving: np.ndarray, static: np.ndarray, config: RunConfig | None =
     """Rigid registration of a moving streamline set onto a static one.
 
     Minimizes the symmetric bundle distance over 6 parameters with two
-    Nelder-Mead stages (coarse then fine initial simplex).  The pivot is the
-    moving set's barycenter.  The cost is one `RigidCost` per call, so its
-    static block and workspaces are built once per registration, not per
-    evaluation, and never shared between threads.  Deterministic: fixed
-    initial simplex, no randomness.  Never raises on optimizer failure; if no
-    parameter set beats the initial cost the identity transform is returned
-    with converged=False.
+    Nelder-Mead stages (coarse then fine initial simplex), each a run of
+    `optimize.nelder_mead`, the optimizer the distribution fits use too, with
+    at most ``max_cost_evaluations`` cost calls.  The pivot is the moving
+    set's barycenter.  The cost is one `RigidCost` per call, so its static
+    block and workspaces are built once per registration, not per evaluation,
+    and never shared between threads.  Deterministic: fixed initial simplex,
+    no randomness.  Never raises on optimizer failure; if no parameter set
+    beats the initial cost the identity transform is returned with
+    converged=False.
+
+    The cost of a set against itself is not 0 but about 3e-8 mm, the
+    rounding of the kernel's expansion at coincident points.  With a
+    ``cost_tolerance_mm`` below that floor an already aligned pair is not
+    returned at once, and both stages spend their whole budget on it.
     """
     cfg = config or RunConfig()
     moving = np.asarray(moving, dtype=np.float64)
@@ -204,20 +211,11 @@ def sbr_rigid(moving: np.ndarray, static: np.ndarray, config: RunConfig | None =
         steps = np.array([step_deg] * 3 + [step_mm] * 3)
         for i in range(6):
             simplex[i + 1, i] += steps[i]
-        res = minimize(
-            cost,
-            best_x,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": simplex,
-                "maxfev": cfg.max_cost_evaluations,
-                "fatol": cfg.cost_tolerance_mm,
-                "xatol": 1e-4,
-            },
-        )
-        if np.isfinite(res.fun) and res.fun < best_cost:
-            best_cost = float(res.fun)
-            best_x = np.asarray(res.x, dtype=np.float64)
+        x, fun, _ = nelder_mead(cost, simplex, cfg.max_cost_evaluations,
+                                xatol=1e-4, fatol=cfg.cost_tolerance_mm)
+        if math.isfinite(fun) and fun < best_cost:
+            best_cost = fun
+            best_x = x
 
     if best_cost >= initial_cost:
         return RegistrationResult(

@@ -166,6 +166,18 @@ def test_exit_2_on_bad_config(work, tmp_path):
                  "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_exit_2_on_out_of_range_config(work, tmp_path):
+    label = ["parcellate", "--atlas", str(work / "atlas"),
+             "--subject", str(work / "scene" / "subject.tck"), "--out", str(tmp_path / "o")]
+    cfg = tmp_path / "cfg.json"
+    for config in ({"workers": -1}, {"max_cost_evaluations": 0},
+                   {"cost_tolerance_mm": -1.0}, {"grid_cell_mm": 0.0}):
+        cfg.write_text(json.dumps(config))
+        assert main(label + ["--config", str(cfg)]) == 2
+    assert main(label + ["--workers", "-1"]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_2_on_bad_affine(work, tmp_path):
     affine = tmp_path / "bad.txt"
     np.savetxt(affine, np.eye(3))

@@ -8,12 +8,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
+from scipy.special import betaln, gammaln
 
+import swmparc.fitting as fitting
 from swmparc.fitting import (
     FAMILIES,
     FittedDistribution,
     _bisect_quantile,
     _burr_cdf,
+    _positive_shift,
     fit_all_families,
     fit_family,
     histogram_bins,
@@ -21,6 +25,7 @@ from swmparc.fitting import (
     select_best,
     sse_against_histogram,
 )
+from swmparc.optimize import default_simplex
 
 
 def oracle_quantile(dist, p, lo, hi, points=400001):
@@ -180,3 +185,83 @@ def test_sse_uses_given_samples(rng):
     good = sse_against_histogram(d, x)
     far = FittedDistribution("normal", {"mu": 50.0, "sigma": 1.0}, sse=0.0)
     assert sse_against_histogram(far, x) > good
+
+
+# ---------------------------------------------------------------------------
+# the fits with scipy's Nelder-Mead in place of `optimize.nelder_mead`
+
+def scipy_descent(evaluated):
+    """Stand-in for `nelder_mead` that runs scipy from its default simplex
+    with the budget and tolerances the fits used before, and logs every
+    (point, cost) in ``evaluated``."""
+    def descent(f, simplex, maxfev, xatol, fatol):
+        x0 = np.asarray(simplex[0], dtype=np.float64)
+        assert simplex == default_simplex(x0)
+
+        def logged(t):
+            cost = f(t)
+            evaluated.append((t.copy(), cost))
+            return cost
+
+        res = minimize(logged, x0, method="Nelder-Mead",
+                       options={"maxfev": 300, "xatol": 1e-8, "fatol": 1e-8})
+        return res.x, res.fun, res.nfev
+    return descent
+
+
+def per_evaluation_nll(family, x):
+    """The gamma and beta likelihoods with the sample sums taken at every call."""
+    if family == "gamma":
+        y = x + _positive_shift(x)
+        logy, n = np.log(y), len(y)
+
+        def nll(t):
+            a, s = math.exp(t[0]), math.exp(t[1])
+            if not (math.isfinite(a) and math.isfinite(s)) or a <= 0 or s <= 0:
+                return math.inf
+            return -((a - 1.0) * logy.sum() - y.sum() / s - n * (gammaln(a) + a * math.log(s)))
+        return nll
+    lo, hi = float(x.min()) - 1e-6, float(x.max()) + 1e-6
+    u = (x - lo) / (hi - lo)
+    logu, log1mu, n = np.log(u), np.log1p(-u), len(u)
+
+    def nll(t):
+        a, b = math.exp(t[0]), math.exp(t[1])
+        if not (math.isfinite(a) and math.isfinite(b)):
+            return math.inf
+        return -((a - 1.0) * logu.sum() + (b - 1.0) * log1mu.sum() - n * betaln(a, b))
+    return nll
+
+
+def draw_samples(family, n, seed):
+    rng = np.random.default_rng(seed)
+    if family == "normal":
+        return rng.normal(rng.uniform(-5, 50), rng.uniform(0.1, 10), n)
+    if family == "log-normal":
+        return rng.lognormal(rng.uniform(-1, 3), rng.uniform(0.05, 1.0), n)
+    if family == "gamma":
+        return rng.gamma(rng.uniform(0.3, 20), rng.uniform(0.1, 5), n)
+    if family == "beta":
+        return 10.0 + 40.0 * rng.beta(rng.uniform(0.3, 8), rng.uniform(0.3, 8), n)
+    c, k, lam = rng.uniform(0.5, 8), rng.uniform(0.3, 5), rng.uniform(1, 30)
+    return lam * ((1.0 - rng.uniform(size=n)) ** (-1.0 / k) - 1.0) ** (1.0 / c)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fits_match_scipy_descent(family, monkeypatch):
+    for case in range(12):
+        samples = draw_samples(family, [8, 9, 30, 200][case % 4], seed=1000 * case + 7)
+        ours_best = select_best(samples)
+        ours_all = fit_all_families(samples)
+        evaluated = []
+        with monkeypatch.context() as m:
+            m.setattr(fitting, "nelder_mead", scipy_descent(evaluated))
+            assert select_best(samples) == ours_best
+            assert fit_all_families(samples) == ours_all
+            for checked in ("gamma", "beta"):
+                evaluated.clear()
+                fit_family(samples, checked)
+                nll = per_evaluation_nll(checked, samples)
+                assert evaluated
+                assert all(np.float64(cost).tobytes() == np.float64(nll(t)).tobytes()
+                           for t, cost in evaluated)

@@ -12,7 +12,13 @@ from swmparc.parcellation import (
     parcellate_bundle,
 )
 from swmparc.registration import RigidTransform, apply_rigid
-from swmparc.synth import ArcSpec, ambiguous_pair_spec, generate_bundle, generate_scene
+from swmparc.synth import (
+    ArcSpec,
+    ambiguous_pair_spec,
+    generate_bundle,
+    generate_scene,
+    random_scene_spec,
+)
 
 
 def arc_bundle(bundle_id="b", seed=0, count=40, center=(0.0, 0.0, 0.0)):
@@ -193,3 +199,23 @@ def test_label_map_orders_by_atlas(model):
     result = parcellate(atlas, subject, RunConfig(workers=1))
     for ids in result.label_map().values():
         assert list(ids) == sorted(ids, key=["left", "right"].index)
+
+
+def test_labels_unchanged_when_subject_streamlines_reversed():
+    # every distance in the method is flip-invariant (MDF and MMEA take the
+    # better of both orientations, the features do not depend on the point
+    # order), so reading each subject streamline backwards changes nothing
+    spec = random_scene_spec(n_bundles=4, streamlines_per_bundle=30, distractor_count=150,
+                             seed=11, global_rotation_deg=(4.0, -3.0, 6.0),
+                             global_translation_mm=(7.0, -5.0, 3.0))
+    scene = generate_scene(spec)
+    atlas = build_atlas(scene.atlas_bundles)
+    cfg = RunConfig(workers=1)
+    forward = parcellate(atlas, scene.subject, cfg)
+    backward = parcellate(atlas, np.ascontiguousarray(scene.subject[:, ::-1]), cfg)
+    labels = forward.label_map()
+    assert all(len(b.accepted_indices) > 0 for b in forward.bundles)
+    assert backward.label_map() == labels
+    t, t_back = forward.global_registration.transform, backward.global_registration.transform
+    assert t.rotation_deg.tobytes() == t_back.rotation_deg.tobytes()
+    assert t.translation_mm.tobytes() == t_back.translation_mm.tobytes()

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
+import swmparc.registration as registration
 from swmparc.config import RunConfig
 from swmparc.distances import bundle_min_distance
 from swmparc.geometry import Bundle
@@ -141,6 +143,49 @@ def test_recovery_of_rigid_perturbation(seed):
     assert res.final_cost_mm < 1.0
     recovered = apply_rigid(res.transform, moving)
     assert np.linalg.norm(recovered - static, axis=2).mean() < 1.0
+
+
+def parent_stages(cfg):
+    """Stand-in for `nelder_mead` in `sbr_rigid`: the two scipy Nelder-Mead
+    stages, coarse then fine, set up from ``cfg`` as SBR ran them before."""
+    stages = iter([(cfg.coarse_step_deg, cfg.coarse_step_mm), (cfg.fine_step_deg, cfg.fine_step_mm)])
+
+    def stage(f, simplex, maxfev, xatol, fatol):
+        step_deg, step_mm = next(stages)
+        best_x = np.asarray(simplex[0], dtype=np.float64)
+        sim = np.tile(best_x, (7, 1))
+        steps = np.array([step_deg] * 3 + [step_mm] * 3)
+        for i in range(6):
+            sim[i + 1, i] += steps[i]
+        res = minimize(f, best_x, method="Nelder-Mead",
+                       options={"initial_simplex": sim, "maxfev": cfg.max_cost_evaluations,
+                                "fatol": cfg.cost_tolerance_mm, "xatol": 1e-4})
+        return res.x, res.fun, res.nfev
+    return stage
+
+
+def result_bytes(res):
+    t = res.transform
+    return (t.rotation_deg.tobytes(), t.translation_mm.tobytes(), t.pivot.tobytes(),
+            np.float64(res.initial_cost_mm).tobytes(), np.float64(res.final_cost_mm).tobytes(),
+            res.iterations, res.converged)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_sbr_matches_scipy_stages(seed, monkeypatch):
+    static = arc_bundle(seed).streamlines
+    rng = np.random.default_rng(seed + 200)
+    pairs = [
+        (apply_rigid(rand_transform(rng, 10.0, 10.0), static), static, RunConfig()),
+        (arc_bundle(seed + 10, count=7, center=(3.0, -2.0, 1.0)).streamlines, static[:5],
+         RunConfig(max_cost_evaluations=23)),
+        (static.copy(), static, RunConfig(cost_tolerance_mm=0.0, max_cost_evaluations=60)),
+    ]
+    for moving, fixed, cfg in pairs:
+        ours = sbr_rigid(moving, fixed, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(registration, "nelder_mead", parent_stages(cfg))
+            assert result_bytes(sbr_rigid(moving, fixed, cfg)) == result_bytes(ours)
 
 
 def test_already_aligned_returns_identity():
