@@ -173,9 +173,11 @@ def cmd_parcellate(args) -> int:
     write_result(result, args.out, subject_streamlines=subject)
     _echo_config(cfg, args.out)
     recognized = sum(1 for b in result.bundles if b.status == "recognized")
+    sizes = result.global_centroids
     _say(f"global registration: cost {result.global_registration.initial_cost_mm:.3f} -> "
          f"{result.global_registration.final_cost_mm:.3f} mm, "
-         f"converged={result.global_registration.converged}")
+         f"converged={result.global_registration.converged}, centroids subject "
+         f"{sizes.subject_kept}/{sizes.subject_total}, atlas {sizes.atlas_kept}/{sizes.atlas_total}")
     _say(f"{recognized}/{len(result.bundles)} bundles recognized | "
          f"PBE-1 {pbe(result, 1):.1f}% | PBE-10 {pbe(result, 10):.1f}% -> {args.out}")
     return 0

@@ -7,13 +7,14 @@ same result.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .atlas import AtlasModel, BundleModel
-from .clustering import cluster_centroids, quickbundles
+from .clustering import Cluster, cluster_centroids, quickbundles
 from .config import FEATURE_NAMES, RunConfig
 from .distances import pairwise_mmea
 from .geometry import (
@@ -33,6 +34,11 @@ from .registration import (
     sbr_rigid,
 )
 from .spatial import StreamlineGrid
+
+# a rigid fit on one or two centroids is poorly constrained, so a side with
+# fewer clusters of the minimum size registers all of its centroids; this
+# also lets small scenes of a few bundles register
+MIN_GLOBAL_CENTROIDS = 3
 
 
 @dataclass(frozen=True)
@@ -61,11 +67,23 @@ class BundleParcellation:
 
 
 @dataclass(frozen=True)
+class GlobalCentroids:
+    """Centroids the global registration used (kept) out of the QuickBundles
+    centroids of each side (total)."""
+
+    subject_kept: int
+    subject_total: int
+    atlas_kept: int
+    atlas_total: int
+
+
+@dataclass(frozen=True)
 class ParcellationResult:
     bundles: tuple[BundleParcellation, ...]
     global_registration: RegistrationResult
     config: RunConfig
     subject_count: int
+    global_centroids: GlobalCentroids
 
     def bundle_map(self) -> dict[str, BundleParcellation]:
         return {b.bundle_id: b for b in self.bundles}
@@ -212,20 +230,34 @@ def parcellate_bundle(
     )
 
 
+def registration_clusters(clusters: list[Cluster], min_size: int) -> list[Cluster]:
+    """The clusters of at least `min_size` members, in their order; all of
+    them when fewer than MIN_GLOBAL_CENTROIDS reach that size."""
+    kept = [c for c in clusters if c.count >= min_size]
+    return kept if len(kept) >= MIN_GLOBAL_CENTROIDS else clusters
+
+
 def global_align(
     atlas: AtlasModel,
     subject_streamlines: np.ndarray,
     config: RunConfig | None = None,
-) -> tuple[np.ndarray, RegistrationResult]:
-    """Rigidly register the subject onto the atlas via centroid reductions."""
+) -> tuple[np.ndarray, RegistrationResult, GlobalCentroids]:
+    """Rigidly register the subject onto the atlas via centroid reductions.
+
+    As in whole-brain streamline linear registration, only the centroids of
+    clusters with at least `global_min_cluster_size` members enter the cost;
+    the transform moves every subject streamline.
+    """
     cfg = config or RunConfig()
-    atlas_centroids = cluster_centroids(
-        quickbundles(atlas.all_streamlines(), cfg.qb_threshold_global_mm))
-    subject_centroids = cluster_centroids(
-        quickbundles(subject_streamlines, cfg.qb_threshold_global_mm))
-    registration = sbr_rigid(subject_centroids, atlas_centroids, cfg)
+    atlas_clusters = quickbundles(atlas.all_streamlines(), cfg.qb_threshold_global_mm)
+    subject_clusters = quickbundles(subject_streamlines, cfg.qb_threshold_global_mm)
+    atlas_kept = registration_clusters(atlas_clusters, cfg.global_min_cluster_size)
+    subject_kept = registration_clusters(subject_clusters, cfg.global_min_cluster_size)
+    registration = sbr_rigid(cluster_centroids(subject_kept), cluster_centroids(atlas_kept), cfg)
     aligned = apply_rigid(registration.transform, subject_streamlines)
-    return aligned, registration
+    sizes = GlobalCentroids(len(subject_kept), len(subject_clusters),
+                            len(atlas_kept), len(atlas_clusters))
+    return aligned, registration, sizes
 
 
 def _winner_take_all(bundles: list[BundleParcellation]) -> list[BundleParcellation]:
@@ -254,6 +286,14 @@ def _winner_take_all(bundles: list[BundleParcellation]) -> list[BundleParcellati
     return out
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on (`workers=0`)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def parcellate(
     atlas: AtlasModel,
     subject_streamlines: np.ndarray,
@@ -269,7 +309,7 @@ def parcellate(
     if len(subject_streamlines) == 0:
         raise ValueError("empty subject tractogram")
 
-    aligned, global_reg = global_align(atlas, subject_streamlines, cfg)
+    aligned, global_reg, global_centroids = global_align(atlas, subject_streamlines, cfg)
     atlas_all = atlas.all_streamlines()
     atlas_grid = StreamlineGrid(atlas_all, cfg.grid_cell_mm)
     subject_grid = StreamlineGrid(aligned, cfg.grid_cell_mm)
@@ -278,10 +318,10 @@ def parcellate(
         return parcellate_bundle(model, aligned, atlas_all, cfg,
                                  subject_grid=subject_grid, atlas_grid=atlas_grid)
 
-    if cfg.workers == 1 or len(atlas.bundles) <= 1:
+    workers = cfg.workers or available_cpus()
+    if workers == 1 or len(atlas.bundles) <= 1:
         results = [run(m) for m in atlas.bundles]
     else:
-        workers = cfg.workers if cfg.workers > 0 else None
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, atlas.bundles))
 
@@ -292,4 +332,5 @@ def parcellate(
         global_registration=global_reg,
         config=cfg,
         subject_count=len(subject_streamlines),
+        global_centroids=global_centroids,
     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -245,6 +245,7 @@ def write_result(result, directory, subject_streamlines=None) -> None:
         "subject_count": int(result.subject_count),
         "config": result_config_dict(result.config),
         "global_registration": _registration_to_dict(result.global_registration),
+        "global_centroids": asdict(result.global_centroids),
         "bundles": bundles,
     }
     _dump_json(summary, os.path.join(directory, SUMMARY_NAME))

@@ -11,7 +11,9 @@ import pytest
 
 import swmparc
 from swmparc.cli import main
-from swmparc.synth import ArcSpec, SceneSpec
+from swmparc.serialization import read_truth
+from swmparc.synth import OUTLIER_LABEL, ArcSpec, SceneSpec
+from swmparc.tckio import read_tck, write_tck
 
 SPEC = SceneSpec(
     bundles=(
@@ -171,11 +173,36 @@ def test_exit_2_on_out_of_range_config(work, tmp_path):
              "--subject", str(work / "scene" / "subject.tck"), "--out", str(tmp_path / "o")]
     cfg = tmp_path / "cfg.json"
     for config in ({"workers": -1}, {"max_cost_evaluations": 0},
-                   {"cost_tolerance_mm": -1.0}, {"grid_cell_mm": 0.0}):
+                   {"cost_tolerance_mm": -1.0}, {"grid_cell_mm": 0.0},
+                   {"global_min_cluster_size": 0}, {"global_min_cluster_size": -1},
+                   {"global_min_cluster_size": 1.5}, {"global_min_cluster_size": "2"}):
         cfg.write_text(json.dumps(config))
         assert main(label + ["--config", str(cfg)]) == 2
     assert main(label + ["--workers", "-1"]) == 2
     assert not (tmp_path / "o").exists()
+
+
+def test_global_centroid_sizes_in_summary_and_progress(work, tmp_path, capsys):
+    # three distractors doubled: their pairs reach the minimum cluster size,
+    # while the other distractors stay singletons, out of the global fit
+    subject = read_tck(work / "scene" / "subject.tck")
+    labels = read_truth(work / "scene" / "truth.json")
+    doubled = [i for i, label in enumerate(labels) if label == OUTLIER_LABEL][:3]
+    write_tck(subject + [subject[i] + 0.2 for i in doubled], tmp_path / "subject.tck")
+    out = tmp_path / "res"
+    assert main(["parcellate", "--atlas", str(work / "atlas"),
+                 "--subject", str(tmp_path / "subject.tck"),
+                 "--out", str(out), "--workers", "1"]) == 0
+    sizes = json.loads((out / "summary.json").read_text())["global_centroids"]
+    assert list(sizes) == ["subject_kept", "subject_total", "atlas_kept", "atlas_total"]
+    assert all(isinstance(v, int) and v >= 1 for v in sizes.values())
+    assert sizes["subject_kept"] < sizes["subject_total"]
+    assert sizes["atlas_kept"] <= sizes["atlas_total"]
+    line = next(line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("global registration:"))
+    assert line.endswith(f"centroids subject {sizes['subject_kept']}/{sizes['subject_total']}, "
+                         f"atlas {sizes['atlas_kept']}/{sizes['atlas_total']}")
+    assert json.loads((out / "run_config.json").read_text())["global_min_cluster_size"] == 2
 
 
 def test_exit_2_on_bad_affine(work, tmp_path):

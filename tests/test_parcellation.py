@@ -1,21 +1,33 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
+import swmparc.parcellation as parcellation
 from swmparc.atlas import build_atlas, build_bundle_model
+from swmparc.clustering import Cluster, cluster_centroids, quickbundles
 from swmparc.config import FEATURE_NAMES, RunConfig
+from swmparc.geometry import Bundle, bundle_barycenter, bundle_radius
 from swmparc.parcellation import (
+    MIN_GLOBAL_CENTROIDS,
+    GlobalCentroids,
     LabelDecision,
     compute_features,
     global_align,
     label_streamline,
     parcellate,
     parcellate_bundle,
+    registration_clusters,
 )
-from swmparc.registration import RigidTransform, apply_rigid
+from swmparc.registration import RigidTransform, apply_rigid, sbr_rigid
 from swmparc.synth import (
     ArcSpec,
     ambiguous_pair_spec,
     generate_bundle,
+    generate_distractors,
     generate_scene,
     random_scene_spec,
 )
@@ -150,7 +162,7 @@ def test_global_align_recovers_whole_subject_shift():
                        subject.reshape(-1, 3).mean(axis=0)),
         subject,
     )
-    aligned, reg = global_align(atlas, moved, RunConfig(workers=1))
+    aligned, reg, _ = global_align(atlas, moved, RunConfig(workers=1))
     assert reg.converged
     assert np.linalg.norm(aligned - subject, axis=2).mean() < 1.0
 
@@ -219,3 +231,183 @@ def test_labels_unchanged_when_subject_streamlines_reversed():
     t, t_back = forward.global_registration.transform, backward.global_registration.transform
     assert t.rotation_deg.tobytes() == t_back.rotation_deg.tobytes()
     assert t.translation_mm.tobytes() == t_back.translation_mm.tobytes()
+
+
+def clustered_scene(seed, rotation_deg=(4.0, -3.0, 6.0), translation_mm=(6.0, -4.0, 3.0),
+                    noise_mm=0.0):
+    """Four bundles, singleton distractors and clusters of 2-4 near-copies,
+    all kept out of the bundle neighborhoods; one global rigid move."""
+    spec = random_scene_spec(n_bundles=4, streamlines_per_bundle=30, distractor_count=60,
+                             seed=seed, distractor_clearance_factor=6.5,
+                             global_rotation_deg=tuple(rotation_deg),
+                             global_translation_mm=tuple(translation_mm))
+    scene = generate_scene(spec)
+    rng = np.random.default_rng(seed)
+    keep_out = [(bundle_barycenter(b.streamlines), 6.5 * bundle_radius(b.streamlines))
+                for b in scene.atlas_bundles]
+    seeds = generate_distractors(20, spec.extent_lo, spec.extent_hi, rng, keep_out=keep_out)
+    copies = np.stack([line + rng.uniform(-0.5, 0.5, line.shape)
+                       for line in seeds for _ in range(int(rng.integers(2, 5)))])
+    subject = np.concatenate([scene.subject, apply_rigid(scene.global_transform, copies)])
+    subject = subject + rng.normal(0.0, noise_mm, subject.shape)
+    return build_atlas(scene.atlas_bundles), subject, scene.global_transform
+
+
+def assert_same_registration(a, b):
+    for name in ("rotation_deg", "translation_mm", "pivot"):
+        assert getattr(a.transform, name).tobytes() == getattr(b.transform, name).tobytes()
+    assert (a.initial_cost_mm, a.final_cost_mm, a.iterations, a.converged) == \
+        (b.initial_cost_mm, b.final_cost_mm, b.iterations, b.converged)
+
+
+def test_registration_clusters_keeps_large_clusters_in_order():
+    def cluster(size):
+        return Cluster(np.zeros((3, 3)), list(range(size)), [False] * size)
+
+    clusters = [cluster(n) for n in (1, 2, 1, 5, 3, 1)]
+    assert registration_clusters(clusters, 2) == [clusters[1], clusters[3], clusters[4]]
+    assert registration_clusters(clusters, 1) == clusters
+    # fewer than MIN_GLOBAL_CENTROIDS reach the size: every centroid stays
+    assert MIN_GLOBAL_CENTROIDS == 3
+    assert registration_clusters(clusters, 3) == clusters
+    assert registration_clusters(clusters[:3], 2) == clusters[:3]
+
+
+@pytest.mark.parametrize("min_size", [1, 2])
+def test_global_align_is_sbr_over_the_kept_centroids(min_size):
+    atlas, subject, _ = clustered_scene(seed=3)
+    cfg = RunConfig(workers=1, global_min_cluster_size=min_size)
+    aligned, reg, sizes = global_align(atlas, subject, cfg)
+    subject_all = quickbundles(subject, cfg.qb_threshold_global_mm)
+    atlas_all = quickbundles(atlas.all_streamlines(), cfg.qb_threshold_global_mm)
+    subject_kept = [c for c in subject_all if c.count >= min_size]
+    atlas_kept = [c for c in atlas_all if c.count >= min_size]
+    assert len(subject_kept) >= MIN_GLOBAL_CENTROIDS and len(atlas_kept) >= MIN_GLOBAL_CENTROIDS
+    expected = sbr_rigid(cluster_centroids(subject_kept), cluster_centroids(atlas_kept), cfg)
+    assert_same_registration(reg, expected)
+    assert aligned.tobytes() == apply_rigid(reg.transform, subject).tobytes()
+    assert sizes == GlobalCentroids(len(subject_kept), len(subject_all),
+                                    len(atlas_kept), len(atlas_all))
+    # only size 1 keeps every centroid
+    assert (sizes.subject_kept == sizes.subject_total) == (min_size == 1)
+
+
+def test_global_align_falls_back_to_all_centroids_of_singletons():
+    atlas = two_bundle_atlas()
+    # five different arcs 200 mm apart: five singleton clusters, none of two
+    subject = np.stack([
+        generate_bundle(ArcSpec(f"s{i}", (200.0 * i, 0.0, 0.0), 8.0 + i, 120.0 + 15 * i,
+                                (30.0 * i, 20.0), 0.0, 1, i)).streamlines[0]
+        for i in range(5)])
+    cfg = RunConfig(workers=1)
+    aligned, reg, sizes = global_align(atlas, subject, cfg)
+    assert sizes.subject_kept == sizes.subject_total == 5
+    # every atlas cluster holds several members of a 40-streamline bundle
+    assert sizes.atlas_kept == sizes.atlas_total
+    _, every_centroid, _ = global_align(atlas, subject,
+                                        RunConfig(workers=1, global_min_cluster_size=1))
+    assert_same_registration(reg, every_centroid)
+    assert np.all(np.isfinite(aligned))
+    assert parcellate(atlas, subject, cfg).global_centroids == sizes
+
+
+def test_default_global_stage_recovers_rotation_among_distractors():
+    # criterion-4 style: a rotation of 3-10 degrees about a random axis and a
+    # 3-10 mm shift, on a noisy subject with singleton and clustered distractors
+    rng = np.random.default_rng(44)
+    for seed in (5, 6):
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        angle = rng.uniform(3.0, 10.0)
+        euler = Rotation.from_rotvec(np.radians(angle) * axis).as_euler("XYZ", degrees=True)
+        shift = rng.standard_normal(3)
+        shift *= rng.uniform(3.0, 10.0) / np.linalg.norm(shift)
+        atlas, subject, truth = clustered_scene(seed, euler, shift, noise_mm=0.3)
+        _, reg, sizes = global_align(atlas, subject, RunConfig(workers=1))
+        assert sizes.subject_kept < sizes.subject_total
+        assert sizes.atlas_kept < sizes.atlas_total
+        m = reg.transform.matrix() @ truth.matrix()
+        cos = np.clip(0.5 * (np.trace(m[:3, :3]) - 1.0), -1.0, 1.0)
+        assert math.degrees(math.acos(float(cos))) <= 0.5
+
+
+class RecordingPool(parcellation.ThreadPoolExecutor):
+    sizes: list = []
+
+    def __init__(self, max_workers=None):
+        RecordingPool.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+def test_workers_zero_uses_the_affinity_mask(monkeypatch):
+    atlas = two_bundle_atlas()
+    subject = atlas.all_streamlines()
+    monkeypatch.setattr(parcellation, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(parcellation.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    auto = parcellate(atlas, subject, RunConfig(workers=0))
+    assert RecordingPool.sizes == [3]
+    # one allowed CPU runs the bundles in this thread, without a pool
+    monkeypatch.setattr(parcellation.os, "sched_getaffinity", lambda pid: {5}, raising=False)
+    serial = parcellate(atlas, subject, RunConfig(workers=0))
+    assert RecordingPool.sizes == [3]
+    assert auto.label_map() == serial.label_map()
+
+
+def test_available_cpus_without_affinity_call(monkeypatch):
+    monkeypatch.delattr(parcellation.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(parcellation.os, "cpu_count", lambda: 5)
+    assert parcellation.available_cpus() == 5
+    monkeypatch.setattr(parcellation.os, "cpu_count", lambda: None)
+    assert parcellation.available_cpus() == 1
+
+
+MM_FEATURES = ("length_mm", "dist_to_barycenter_mm", "mmea_mm")
+
+
+def assert_same_features(before, after, skip=()):
+    (fv, flagged), (moved_fv, moved_flagged) = before, after
+    assert moved_flagged == flagged
+    for f in FEATURE_NAMES:
+        if f in flagged:
+            assert math.isnan(fv[f]) and math.isnan(moved_fv[f])
+        elif f in MM_FEATURES:
+            assert moved_fv[f] == pytest.approx(fv[f], rel=1e-9, abs=0.0), f
+        elif f not in skip:
+            assert moved_fv[f] == pytest.approx(fv[f], rel=0.0, abs=1e-7), f
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2 ** 32 - 1),
+    st.tuples(*[st.floats(-180.0, 180.0)] * 3),
+    st.tuples(*[st.floats(-50.0, 50.0)] * 3),
+)
+def test_features_invariant_under_one_rigid_motion(seed, angles, shift):
+    # the points come from a generator seeded by hypothesis, so candidates
+    # never coincide with bundle members (where the MMEA expansion rounds)
+    rng = np.random.default_rng(seed)
+    bundle = generate_bundle(ArcSpec(
+        "b", tuple(rng.uniform(-40.0, 40.0, 3)), float(rng.uniform(8.0, 14.0)),
+        float(rng.uniform(120.0, 220.0)), tuple(rng.uniform(0.0, 180.0, 2)), 0.5, 12,
+        int(rng.integers(2 ** 31))))
+    candidates = bundle.streamlines[:4] + rng.normal(0.0, 1.5, (4, 21, 3))
+    motion = RigidTransform(angles, shift, rng.uniform(-20.0, 20.0, 3))
+
+    # the features read no threshold, so the models skip the distribution fits
+    model = build_bundle_model(bundle, threshold_source="empirical")
+    moved_model = build_bundle_model(Bundle("b", apply_rigid(motion, bundle.streamlines)),
+                                     threshold_source="empirical")
+    for candidate in candidates:
+        assert_same_features(compute_features(candidate, model),
+                             compute_features(apply_rigid(motion, candidate), moved_model))
+
+    # a straight line: its plane normal is degenerate before and after the
+    # move.  Its shape angle is 180 degrees, where arccos turns rounding into
+    # ~1e-6 degrees, so that value is only checked to 1e-5 degrees
+    line = np.linspace(0.0, 1.0, 21)[:, None] * rng.uniform(-30.0, 30.0, 3) + rng.uniform(-5, 5, 3)
+    before = compute_features(line, model)
+    after = compute_features(apply_rigid(motion, line), moved_model)
+    assert "plane_angle_deg" in before[1]
+    assert_same_features(before, after, skip=("shape_angle_deg",))
+    assert after[0]["shape_angle_deg"] == pytest.approx(before[0]["shape_angle_deg"], abs=1e-5)
