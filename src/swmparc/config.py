@@ -24,7 +24,6 @@ class RunConfig:
     neighborhood_factor: float = 6.0
     qb_threshold_global_mm: float = 10.0
     qb_threshold_local_mm: float = 6.0
-    global_min_cluster_size: int = 2       # smaller global clusters stay out of global SBR
     decile_low: float = 0.1
     decile_high: float = 0.9
     ba_threshold_mm: float = 5.0
@@ -66,8 +65,7 @@ class RunConfig:
         tol = self.cost_tolerance_mm
         if not (isinstance(tol, Real) and tol >= 0.0):
             raise ValueError("cost_tolerance_mm must be a number >= 0")
-        for name, least in (("workers", 0), ("max_cost_evaluations", 1), ("min_fit_samples", 2),
-                            ("global_min_cluster_size", 1)):
+        for name, least in (("workers", 0), ("max_cost_evaluations", 1), ("min_fit_samples", 2)):
             value = getattr(self, name)
             if not (isinstance(value, Integral) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}")

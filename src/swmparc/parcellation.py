@@ -35,6 +35,9 @@ from .registration import (
 )
 from .spatial import StreamlineGrid
 
+# global SBR fits only the centroids of clusters with at least this many
+# members, so singleton outliers neither pull the fit nor cost evaluations
+GLOBAL_MIN_CLUSTER_SIZE = 2
 # a rigid fit on one or two centroids is poorly constrained, so a side with
 # fewer clusters of the minimum size registers all of its centroids; this
 # also lets small scenes of a few bundles register
@@ -230,10 +233,10 @@ def parcellate_bundle(
     )
 
 
-def registration_clusters(clusters: list[Cluster], min_size: int) -> list[Cluster]:
-    """The clusters of at least `min_size` members, in their order; all of
-    them when fewer than MIN_GLOBAL_CENTROIDS reach that size."""
-    kept = [c for c in clusters if c.count >= min_size]
+def registration_clusters(clusters: list[Cluster]) -> list[Cluster]:
+    """The clusters of at least GLOBAL_MIN_CLUSTER_SIZE members, in their
+    order; all of them when fewer than MIN_GLOBAL_CENTROIDS reach that size."""
+    kept = [c for c in clusters if c.count >= GLOBAL_MIN_CLUSTER_SIZE]
     return kept if len(kept) >= MIN_GLOBAL_CENTROIDS else clusters
 
 
@@ -245,14 +248,14 @@ def global_align(
     """Rigidly register the subject onto the atlas via centroid reductions.
 
     As in whole-brain streamline linear registration, only the centroids of
-    clusters with at least `global_min_cluster_size` members enter the cost;
+    clusters with at least GLOBAL_MIN_CLUSTER_SIZE members enter the cost;
     the transform moves every subject streamline.
     """
     cfg = config or RunConfig()
     atlas_clusters = quickbundles(atlas.all_streamlines(), cfg.qb_threshold_global_mm)
     subject_clusters = quickbundles(subject_streamlines, cfg.qb_threshold_global_mm)
-    atlas_kept = registration_clusters(atlas_clusters, cfg.global_min_cluster_size)
-    subject_kept = registration_clusters(subject_clusters, cfg.global_min_cluster_size)
+    atlas_kept = registration_clusters(atlas_clusters)
+    subject_kept = registration_clusters(subject_clusters)
     registration = sbr_rigid(cluster_centroids(subject_kept), cluster_centroids(atlas_kept), cfg)
     aligned = apply_rigid(registration.transform, subject_streamlines)
     sizes = GlobalCentroids(len(subject_kept), len(subject_clusters),

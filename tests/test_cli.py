@@ -173,9 +173,7 @@ def test_exit_2_on_out_of_range_config(work, tmp_path):
              "--subject", str(work / "scene" / "subject.tck"), "--out", str(tmp_path / "o")]
     cfg = tmp_path / "cfg.json"
     for config in ({"workers": -1}, {"max_cost_evaluations": 0},
-                   {"cost_tolerance_mm": -1.0}, {"grid_cell_mm": 0.0},
-                   {"global_min_cluster_size": 0}, {"global_min_cluster_size": -1},
-                   {"global_min_cluster_size": 1.5}, {"global_min_cluster_size": "2"}):
+                   {"cost_tolerance_mm": -1.0}, {"grid_cell_mm": 0.0}):
         cfg.write_text(json.dumps(config))
         assert main(label + ["--config", str(cfg)]) == 2
     assert main(label + ["--workers", "-1"]) == 2
@@ -202,7 +200,6 @@ def test_global_centroid_sizes_in_summary_and_progress(work, tmp_path, capsys):
                 if line.startswith("global registration:"))
     assert line.endswith(f"centroids subject {sizes['subject_kept']}/{sizes['subject_total']}, "
                          f"atlas {sizes['atlas_kept']}/{sizes['atlas_total']}")
-    assert json.loads((out / "run_config.json").read_text())["global_min_cluster_size"] == 2
 
 
 def test_exit_2_on_bad_affine(work, tmp_path):

@@ -14,7 +14,6 @@ CASES = [
     ("max_cost_evaluations", [0, -5, 10.0], [1, 500]),
     ("cost_tolerance_mm", [-1e-3, math.nan, "0.1"], [0.0, 1e-3, 2]),
     ("min_fit_samples", [1, 0, -3], [2, 8]),
-    ("global_min_cluster_size", [0, -1, 1.5, "2"], [1, 2, 10]),
 ] + [
     (name, POSITIVE_BAD, [0.5, 10])
     for name in ("neighborhood_factor", "qb_threshold_global_mm", "qb_threshold_local_mm",

@@ -12,6 +12,7 @@ from swmparc.clustering import Cluster, cluster_centroids, quickbundles
 from swmparc.config import FEATURE_NAMES, RunConfig
 from swmparc.geometry import Bundle, bundle_barycenter, bundle_radius
 from swmparc.parcellation import (
+    GLOBAL_MIN_CLUSTER_SIZE,
     MIN_GLOBAL_CENTROIDS,
     GlobalCentroids,
     LabelDecision,
@@ -260,23 +261,28 @@ def assert_same_registration(a, b):
         (b.initial_cost_mm, b.final_cost_mm, b.iterations, b.converged)
 
 
-def test_registration_clusters_keeps_large_clusters_in_order():
+def test_registration_clusters_keeps_large_clusters_in_order(monkeypatch):
     def cluster(size):
         return Cluster(np.zeros((3, 3)), list(range(size)), [False] * size)
 
     clusters = [cluster(n) for n in (1, 2, 1, 5, 3, 1)]
-    assert registration_clusters(clusters, 2) == [clusters[1], clusters[3], clusters[4]]
-    assert registration_clusters(clusters, 1) == clusters
+    assert GLOBAL_MIN_CLUSTER_SIZE == 2
+    assert registration_clusters(clusters) == [clusters[1], clusters[3], clusters[4]]
     # fewer than MIN_GLOBAL_CENTROIDS reach the size: every centroid stays
     assert MIN_GLOBAL_CENTROIDS == 3
-    assert registration_clusters(clusters, 3) == clusters
-    assert registration_clusters(clusters[:3], 2) == clusters[:3]
+    assert registration_clusters(clusters[:3]) == clusters[:3]
+    monkeypatch.setattr(parcellation, "GLOBAL_MIN_CLUSTER_SIZE", 3)
+    assert registration_clusters(clusters) == clusters
+    monkeypatch.setattr(parcellation, "GLOBAL_MIN_CLUSTER_SIZE", 1)
+    assert registration_clusters(clusters) == clusters
 
 
 @pytest.mark.parametrize("min_size", [1, 2])
-def test_global_align_is_sbr_over_the_kept_centroids(min_size):
+def test_global_align_is_sbr_over_the_kept_centroids(min_size, monkeypatch):
+    # size 1 keeps every centroid: the global stage before the size was set
+    monkeypatch.setattr(parcellation, "GLOBAL_MIN_CLUSTER_SIZE", min_size)
     atlas, subject, _ = clustered_scene(seed=3)
-    cfg = RunConfig(workers=1, global_min_cluster_size=min_size)
+    cfg = RunConfig(workers=1)
     aligned, reg, sizes = global_align(atlas, subject, cfg)
     subject_all = quickbundles(subject, cfg.qb_threshold_global_mm)
     atlas_all = quickbundles(atlas.all_streamlines(), cfg.qb_threshold_global_mm)
@@ -304,8 +310,10 @@ def test_global_align_falls_back_to_all_centroids_of_singletons():
     assert sizes.subject_kept == sizes.subject_total == 5
     # every atlas cluster holds several members of a 40-streamline bundle
     assert sizes.atlas_kept == sizes.atlas_total
-    _, every_centroid, _ = global_align(atlas, subject,
-                                        RunConfig(workers=1, global_min_cluster_size=1))
+    every_centroid = sbr_rigid(
+        cluster_centroids(quickbundles(subject, cfg.qb_threshold_global_mm)),
+        cluster_centroids(quickbundles(atlas.all_streamlines(), cfg.qb_threshold_global_mm)),
+        cfg)
     assert_same_registration(reg, every_centroid)
     assert np.all(np.isfinite(aligned))
     assert parcellate(atlas, subject, cfg).global_centroids == sizes
