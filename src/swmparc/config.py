@@ -44,7 +44,13 @@ class RunConfig:
     min_fit_samples: int = 8
 
     def __post_init__(self):
-        if self.resample_k < 3 or self.resample_k % 2 == 0:
+        # bool is an Integral, but True is no count
+        for name, least in (("resample_k", 3), ("workers", 0), ("max_cost_evaluations", 1),
+                            ("min_fit_samples", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}")
+        if self.resample_k % 2 == 0:
             raise ValueError("resample_k must be odd and >= 3")
         if self.containment_rule not in ("all", "any"):
             raise ValueError("containment_rule must be 'all' or 'any'")
@@ -65,10 +71,6 @@ class RunConfig:
         tol = self.cost_tolerance_mm
         if not (isinstance(tol, Real) and tol >= 0.0):
             raise ValueError("cost_tolerance_mm must be a number >= 0")
-        for name, least in (("workers", 0), ("max_cost_evaluations", 1), ("min_fit_samples", 2)):
-            value = getattr(self, name)
-            if not (isinstance(value, Integral) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}")
         self.pbe_min_counts = tuple(int(c) for c in self.pbe_min_counts)
 
     def to_dict(self) -> dict:

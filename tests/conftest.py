@@ -1,8 +1,11 @@
 """Shared fixtures: small deterministic geometry helpers."""
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
-from swmparc.geometry import resample
+from swmparc.geometry import bundle_barycenter, resample
+from swmparc.registration import RigidTransform, apply_rigid
+from swmparc.synth import ArcSpec, generate_bundle
 
 # filled by the acceptance tests; echoed after the run so the per-criterion
 # verdict lines are visible even when pytest captures stdout
@@ -36,6 +39,34 @@ def random_streamlines(rng, n, k=21, scale=30.0, wobble=3.0):
     lines = start + (end - start) * t
     lines += wobble * np.sin(np.pi * t) * rng.standard_normal((n, 1, 3))
     return np.stack([resample(s, k) for s in lines])
+
+
+def registration_scenes(count=20):
+    """The scenes of acceptance criterion 4, noise-free: yields (moving,
+    static, truth) for seeded arc bundles of 30 streamlines, each moved by a
+    rotation of 3-10 degrees about its barycenter and a shift of 3-10 mm."""
+    rng = np.random.default_rng(400)
+    for case in range(count):
+        static = generate_bundle(ArcSpec(
+            bundle_id=f"case_{case}",
+            center=(0.0, 0.0, 0.0),
+            radius_mm=float(rng.uniform(8.0, 12.0)),
+            span_deg=float(rng.uniform(130.0, 220.0)),
+            orientation_deg=(float(rng.uniform(0.0, 360.0)), float(rng.uniform(0.0, 180.0))),
+            jitter_mm=0.4,
+            count=30,
+            seed=case,
+        )).streamlines
+        angle = np.radians(rng.uniform(3.0, 10.0))
+        euler = Rotation.from_rotvec(angle * random_unit(rng)).as_euler("XYZ", degrees=True)
+        shift = rng.uniform(3.0, 10.0) * random_unit(rng)
+        truth = RigidTransform(euler, shift, bundle_barycenter(static))
+        yield apply_rigid(truth, static), static, truth
+
+
+def random_unit(rng):
+    v = rng.standard_normal(3)
+    return v / np.linalg.norm(v)
 
 
 def random_rotation_matrix(rng):

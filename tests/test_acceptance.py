@@ -36,7 +36,7 @@ from swmparc.geometry import (
 )
 from swmparc.metrics import bundle_adjacency, confusion_scores, coverage, overlap, pbe
 from swmparc.parcellation import parcellate, parcellate_bundle
-from swmparc.registration import RigidTransform, apply_rigid, sbr_rigid
+from swmparc.registration import sbr_rigid
 from swmparc.serialization import (
     AtlasFormatError,
     read_atlas,
@@ -55,7 +55,8 @@ from swmparc.synth import (
 )
 from swmparc.tckio import TrackFileError, read_tck, write_tck
 
-from conftest import ACCEPTANCE_LINES, make_arc, random_streamlines
+from conftest import (ACCEPTANCE_LINES, make_arc, random_streamlines, random_unit,
+                      registration_scenes)
 
 
 def check(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -143,7 +144,7 @@ def test_criterion_02_feature_correctness():
     assert np.abs(base).min() > 0.05  # fixture keeps every value off zero
     worst_rel = 0.0
     for _ in range(200):
-        R = Rotation.from_rotvec(rng.uniform(-np.pi, np.pi) * _unit(rng)).as_matrix()
+        R = Rotation.from_rotvec(rng.uniform(-np.pi, np.pi) * random_unit(rng)).as_matrix()
         t = rng.uniform(-50.0, 50.0, 3)
         moved = features(lines @ R.T + t, bundle @ R.T + t, bary @ R.T + t,
                          R @ ref_n, R @ ref_d)
@@ -156,11 +157,6 @@ def test_criterion_02_feature_correctness():
           and elapsed < 10.0)
     check(2, "feature correctness", ok,
           f"semi {semi_angle:.2f} deg, rel {worst_rel:.1e}, {elapsed:.1f}s")
-
-
-def _unit(rng):
-    v = rng.standard_normal(3)
-    return v / np.linalg.norm(v)
 
 
 def _replay_quickbundles(streamlines, threshold):
@@ -213,25 +209,9 @@ def test_criterion_03_quickbundles_oracle():
 
 def test_criterion_04_registration_recovery():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(400)
     recovered = 0
-    for case in range(20):
-        arr = generate_bundle(ArcSpec(
-            bundle_id=f"case_{case}",
-            center=(0.0, 0.0, 0.0),
-            radius_mm=float(rng.uniform(8.0, 12.0)),
-            span_deg=float(rng.uniform(130.0, 220.0)),
-            orientation_deg=(float(rng.uniform(0.0, 360.0)), float(rng.uniform(0.0, 180.0))),
-            jitter_mm=0.4,
-            count=30,
-            seed=case,
-        )).streamlines
-        center = bundle_barycenter(arr)
-        angle = float(rng.uniform(3.0, 10.0))
-        euler = Rotation.from_rotvec(np.radians(angle) * _unit(rng)).as_euler("XYZ", degrees=True)
-        truth = RigidTransform(euler, rng.uniform(3.0, 10.0) * _unit(rng), center)
-        moving = apply_rigid(truth, arr)
-
+    for moving, arr, truth in registration_scenes():
+        center = truth.pivot
         reg = sbr_rigid(moving, arr)
         m = reg.transform.matrix() @ truth.matrix()
         cos = np.clip(0.5 * (np.trace(m[:3, :3]) - 1.0), -1.0, 1.0)

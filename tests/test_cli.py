@@ -173,7 +173,7 @@ def test_exit_2_on_out_of_range_config(work, tmp_path):
              "--subject", str(work / "scene" / "subject.tck"), "--out", str(tmp_path / "o")]
     cfg = tmp_path / "cfg.json"
     for config in ({"workers": -1}, {"max_cost_evaluations": 0},
-                   {"cost_tolerance_mm": -1.0}, {"grid_cell_mm": 0.0}):
+                   {"cost_tolerance_mm": -1.0}, {"grid_cell_mm": 0.0}, {"resample_k": "21"}):
         cfg.write_text(json.dumps(config))
         assert main(label + ["--config", str(cfg)]) == 2
     assert main(label + ["--workers", "-1"]) == 2

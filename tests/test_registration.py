@@ -20,7 +20,7 @@ from swmparc.registration import (
 )
 from swmparc.synth import ArcSpec, generate_bundle
 
-from conftest import random_streamlines
+from conftest import random_streamlines, registration_scenes
 
 
 def rand_transform(rng, max_deg=30.0, max_mm=20.0):
@@ -159,7 +159,8 @@ def parent_stages(cfg):
             sim[i + 1, i] += steps[i]
         res = minimize(f, best_x, method="Nelder-Mead",
                        options={"initial_simplex": sim, "maxfev": cfg.max_cost_evaluations,
-                                "fatol": cfg.cost_tolerance_mm, "xatol": 1e-4})
+                                "fatol": cfg.cost_tolerance_mm,
+                                "xatol": registration.SBR_XATOL})
         return res.x, res.fun, res.nfev
     return stage
 
@@ -186,6 +187,21 @@ def test_sbr_matches_scipy_stages(seed, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(registration, "nelder_mead", parent_stages(cfg))
             assert result_bytes(sbr_rigid(moving, fixed, cfg)) == result_bytes(ours)
+
+
+def test_sbr_xatol_saves_evaluations_at_the_same_pose(monkeypatch):
+    # the criterion-4 scenes registered at the shipped stop rule and at the
+    # former 1e-4: the looser rule saves evaluations, not accuracy
+    shipped = registration.SBR_XATOL
+    scenes = list(registration_scenes())
+    runs = {}
+    for xatol in (shipped, 1e-4):
+        monkeypatch.setattr(registration, "SBR_XATOL", xatol)
+        runs[xatol] = [sbr_rigid(moving, static) for moving, static, _ in scenes]
+    assert sum(r.iterations for r in runs[1e-4]) >= 1.4 * sum(r.iterations for r in runs[shipped])
+    for (moving, _, _), ours, finer in zip(scenes, runs[shipped], runs[1e-4]):
+        apart = apply_rigid(ours.transform, moving) - apply_rigid(finer.transform, moving)
+        assert np.linalg.norm(apart, axis=2).mean() <= 0.05
 
 
 def test_already_aligned_returns_identity():
