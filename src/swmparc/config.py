@@ -18,6 +18,11 @@ FEATURE_NAMES = (
 )
 
 
+def _is_number(value, kind=Real) -> bool:
+    # bool is an Integral and a Real, but True is no count, length or factor
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     resample_k: int = 21
@@ -32,23 +37,17 @@ class RunConfig:
     features: tuple[str, ...] = FEATURE_NAMES
     winner_take_all: bool = False
     workers: int = 0                       # 0 = available parallelism
-    seed: int = 0
     grid_cell_mm: float = 20.0
-    coarse_step_deg: float = 10.0
-    coarse_step_mm: float = 10.0
-    fine_step_deg: float = 1.0
-    fine_step_mm: float = 1.0
-    max_cost_evaluations: int = 500        # per optimizer stage
+    max_cost_evaluations: int = 500        # per rigid registration
     cost_tolerance_mm: float = 1e-3
-    pbe_min_counts: tuple[int, ...] = (1, 10)
+    pbe_min_counts: tuple[int, int] = (1, 10)
     min_fit_samples: int = 8
 
     def __post_init__(self):
-        # bool is an Integral, but True is no count
         for name, least in (("resample_k", 3), ("workers", 0), ("max_cost_evaluations", 1),
                             ("min_fit_samples", 2)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
+            if not (_is_number(value, Integral) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}")
         if self.resample_k % 2 == 0:
             raise ValueError("resample_k must be odd and >= 3")
@@ -62,16 +61,21 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown features: {sorted(unknown)}")
         self.features = tuple(self.features)
+        if not isinstance(self.winner_take_all, bool):
+            raise ValueError("winner_take_all must be true or false")
         for name in ("neighborhood_factor", "qb_threshold_global_mm", "qb_threshold_local_mm",
-                     "ba_threshold_mm", "grid_cell_mm", "coarse_step_deg", "coarse_step_mm",
-                     "fine_step_deg", "fine_step_mm"):
+                     "ba_threshold_mm", "grid_cell_mm"):
             value = getattr(self, name)
-            if not (isinstance(value, Real) and 0.0 < value < math.inf):
+            if not (_is_number(value) and 0.0 < value < math.inf):
                 raise ValueError(f"{name} must be a positive finite number")
         tol = self.cost_tolerance_mm
-        if not (isinstance(tol, Real) and tol >= 0.0):
+        if not (_is_number(tol) and tol >= 0.0):
             raise ValueError("cost_tolerance_mm must be a number >= 0")
-        self.pbe_min_counts = tuple(int(c) for c in self.pbe_min_counts)
+        counts = self.pbe_min_counts
+        if not (isinstance(counts, (tuple, list)) and len(counts) == 2
+                and all(_is_number(c, Integral) and c >= 1 for c in counts)):
+            raise ValueError("pbe_min_counts must be two integers >= 1")
+        self.pbe_min_counts = tuple(counts)
 
     def to_dict(self) -> dict:
         d = asdict(self)

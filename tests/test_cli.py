@@ -168,14 +168,25 @@ def test_exit_2_on_bad_config(work, tmp_path):
                  "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_exit_2_on_out_of_range_config(work, tmp_path):
+def test_exit_2_on_out_of_range_config(work, tmp_path, capsys):
     label = ["parcellate", "--atlas", str(work / "atlas"),
              "--subject", str(work / "scene" / "subject.tck"), "--out", str(tmp_path / "o")]
     cfg = tmp_path / "cfg.json"
     for config in ({"workers": -1}, {"max_cost_evaluations": 0},
-                   {"cost_tolerance_mm": -1.0}, {"grid_cell_mm": 0.0}, {"resample_k": "21"}):
+                   {"cost_tolerance_mm": -1.0}, {"grid_cell_mm": 0.0}, {"resample_k": "21"},
+                   {"winner_take_all": "no"}, {"pbe_min_counts": [1, 2, 3]}):
         cfg.write_text(json.dumps(config))
         assert main(label + ["--config", str(cfg)]) == 2
+    # a run_config.json echoed before rigid SBR ran one stage: its step sizes
+    # and unused seed are unknown keys, and no replay could give its results
+    retired = {"seed": 0, "coarse_step_deg": 10.0, "coarse_step_mm": 10.0,
+               "fine_step_deg": 1.0, "fine_step_mm": 1.0}
+    echoed = json.loads((work / "res1" / "run_config.json").read_text())
+    cfg.write_text(json.dumps({**echoed, **retired}))
+    capsys.readouterr()
+    assert main(label + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert all(repr(key) in err for key in retired)
     assert main(label + ["--workers", "-1"]) == 2
     assert not (tmp_path / "o").exists()
 

@@ -13,13 +13,15 @@ CASES = [
     ("resample_k", [1, 4, 21.0, "21", True], [3, 21]),
     ("workers", [-1, 2.5, "2", True, False], [0, 1, 64]),
     ("max_cost_evaluations", [0, -5, 10.0, True], [1, 500]),
-    ("cost_tolerance_mm", [-1e-3, math.nan, "0.1"], [0.0, 1e-3, 2]),
+    ("cost_tolerance_mm", [-1e-3, math.nan, "0.1", True, False], [0.0, 1e-3, 2]),
     ("min_fit_samples", [1, 0, -3, 8.0, True], [2, 8]),
+    ("winner_take_all", ["no", "false", 0, 1, None], [True, False]),
+    ("pbe_min_counts", [(1.7, True), (1, 2, 3), (0, -4), (1,), (1, 10.0), (True, 10), 5, "12"],
+     [(1, 10), (2, 2)]),
 ] + [
-    (name, POSITIVE_BAD, [0.5, 10])
+    (name, POSITIVE_BAD + [True], [0.5, 10])
     for name in ("neighborhood_factor", "qb_threshold_global_mm", "qb_threshold_local_mm",
-                 "ba_threshold_mm", "grid_cell_mm", "coarse_step_deg", "coarse_step_mm",
-                 "fine_step_deg", "fine_step_mm")
+                 "ba_threshold_mm", "grid_cell_mm")
 ]
 
 

@@ -419,3 +419,31 @@ def test_features_invariant_under_one_rigid_motion(seed, angles, shift):
     assert "plane_angle_deg" in before[1]
     assert_same_features(before, after, skip=("shape_angle_deg",))
     assert after[0]["shape_angle_deg"] == pytest.approx(before[0]["shape_angle_deg"], abs=1e-5)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    n_bundles=st.integers(2, 3),
+    distractors=st.integers(0, 8),
+    angles=st.tuples(*[st.floats(-6.0, 6.0)] * 3),
+    shift=st.tuples(*[st.floats(-6.0, 6.0)] * 3),
+    winner_take_all=st.booleans(),
+)
+def test_results_do_not_depend_on_the_worker_count(seed, n_bundles, distractors, angles, shift,
+                                                   winner_take_all):
+    scene = generate_scene(random_scene_spec(
+        n_bundles=n_bundles, streamlines_per_bundle=15, distractor_count=distractors, seed=seed,
+        global_rotation_deg=angles, global_translation_mm=shift))
+    atlas = build_atlas(scene.atlas_bundles)
+    one, *others = [parcellate(atlas, scene.subject,
+                               RunConfig(workers=w, winner_take_all=winner_take_all))
+                    for w in (1, 2, 4)]
+    assert any(len(b.accepted_indices) for b in one.bundles)
+    for other in others:
+        assert other.label_map() == one.label_map()
+        assert_same_registration(other.global_registration, one.global_registration)
+        assert [b.bundle_id for b in other.bundles] == [b.bundle_id for b in one.bundles]
+        for b, b_one in zip(other.bundles, one.bundles):
+            assert b.accepted_indices.tobytes() == b_one.accepted_indices.tobytes()
+            assert_same_registration(b.local.registration, b_one.local.registration)

@@ -145,19 +145,17 @@ def test_recovery_of_rigid_perturbation(seed):
     assert np.linalg.norm(recovered - static, axis=2).mean() < 1.0
 
 
-def parent_stages(cfg):
-    """Stand-in for `nelder_mead` in `sbr_rigid`: the two scipy Nelder-Mead
-    stages, coarse then fine, set up from ``cfg`` as SBR ran them before."""
-    stages = iter([(cfg.coarse_step_deg, cfg.coarse_step_mm), (cfg.fine_step_deg, cfg.fine_step_mm)])
-
+def scipy_stage(cfg):
+    """Stand-in for `nelder_mead` in `sbr_rigid`: one scipy Nelder-Mead run
+    from the identity, its simplex and stop rule set up from ``cfg`` and the
+    module's `SBR_STEP_DEG`, `SBR_STEP_MM` and `SBR_XATOL`."""
     def stage(f, simplex, maxfev, xatol, fatol):
-        step_deg, step_mm = next(stages)
-        best_x = np.asarray(simplex[0], dtype=np.float64)
-        sim = np.tile(best_x, (7, 1))
-        steps = np.array([step_deg] * 3 + [step_mm] * 3)
+        x0 = np.zeros(6)
+        sim = np.tile(x0, (7, 1))
+        steps = [registration.SBR_STEP_DEG] * 3 + [registration.SBR_STEP_MM] * 3
         for i in range(6):
             sim[i + 1, i] += steps[i]
-        res = minimize(f, best_x, method="Nelder-Mead",
+        res = minimize(f, x0, method="Nelder-Mead",
                        options={"initial_simplex": sim, "maxfev": cfg.max_cost_evaluations,
                                 "fatol": cfg.cost_tolerance_mm,
                                 "xatol": registration.SBR_XATOL})
@@ -185,7 +183,7 @@ def test_sbr_matches_scipy_stages(seed, monkeypatch):
     for moving, fixed, cfg in pairs:
         ours = sbr_rigid(moving, fixed, cfg)
         with monkeypatch.context() as m:
-            m.setattr(registration, "nelder_mead", parent_stages(cfg))
+            m.setattr(registration, "nelder_mead", scipy_stage(cfg))
             assert result_bytes(sbr_rigid(moving, fixed, cfg)) == result_bytes(ours)
 
 
@@ -198,7 +196,11 @@ def test_sbr_xatol_saves_evaluations_at_the_same_pose(monkeypatch):
     for xatol in (shipped, 1e-4):
         monkeypatch.setattr(registration, "SBR_XATOL", xatol)
         runs[xatol] = [sbr_rigid(moving, static) for moving, static, _ in scenes]
-    assert sum(r.iterations for r in runs[1e-4]) >= 1.4 * sum(r.iterations for r in runs[shipped])
+    spent = sum(r.iterations for r in runs[shipped])
+    # one Nelder-Mead run per registration: 6,539 evaluations; a second,
+    # finer stage after it would spend about 3,000 more
+    assert spent <= 7000
+    assert sum(r.iterations for r in runs[1e-4]) >= 1.3 * spent
     for (moving, _, _), ours, finer in zip(scenes, runs[shipped], runs[1e-4]):
         apart = apply_rigid(ours.transform, moving) - apply_rigid(finer.transform, moving)
         assert np.linalg.norm(apart, axis=2).mean() <= 0.05
@@ -221,7 +223,7 @@ def test_no_improvement_returns_identity_unconverged():
     assert res.converged is False
     assert res.transform.is_identity()
     assert res.final_cost_mm == res.initial_cost_mm
-    assert res.iterations == 1 + 2 * cfg.max_cost_evaluations  # both stages ran out
+    assert res.iterations == 1 + cfg.max_cost_evaluations  # the budget ran out
 
 
 def test_empty_sets_rejected():
