@@ -55,8 +55,13 @@ class RunConfig:
             raise ValueError("containment_rule must be 'all' or 'any'")
         if self.threshold_source not in ("fitted", "empirical"):
             raise ValueError("threshold_source must be 'fitted' or 'empirical'")
-        if not 0.0 < self.decile_low < self.decile_high < 1.0:
-            raise ValueError("deciles must satisfy 0 < low < high < 1")
+        if not (_is_number(self.decile_low) and _is_number(self.decile_high)
+                and 0.0 < self.decile_low < self.decile_high < 1.0):
+            raise ValueError("decile_low and decile_high must be numbers with "
+                             "0 < decile_low < decile_high < 1")
+        if not (isinstance(self.features, (list, tuple))
+                and all(isinstance(name, str) for name in self.features)):
+            raise ValueError("features must be a list of feature names")
         unknown = set(self.features) - set(FEATURE_NAMES)
         if unknown:
             raise ValueError(f"unknown features: {sorted(unknown)}")

@@ -174,7 +174,9 @@ def test_exit_2_on_out_of_range_config(work, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for config in ({"workers": -1}, {"max_cost_evaluations": 0},
                    {"cost_tolerance_mm": -1.0}, {"grid_cell_mm": 0.0}, {"resample_k": "21"},
-                   {"winner_take_all": "no"}, {"pbe_min_counts": [1, 2, 3]}):
+                   {"winner_take_all": "no"}, {"pbe_min_counts": [1, 2, 3]},
+                   {"features": 5}, {"features": ["length_mm", 5]}, {"decile_low": "0.1"},
+                   {"decile_high": None}):
         cfg.write_text(json.dumps(config))
         assert main(label + ["--config", str(cfg)]) == 2
     # a run_config.json echoed before rigid SBR ran one stage: its step sizes

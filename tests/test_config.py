@@ -18,6 +18,10 @@ CASES = [
     ("winner_take_all", ["no", "false", 0, 1, None], [True, False]),
     ("pbe_min_counts", [(1.7, True), (1, 2, 3), (0, -4), (1,), (1, 10.0), (True, 10), 5, "12"],
      [(1, 10), (2, 2)]),
+    ("features", [5, None, "length_mm", {"length_mm": 1}, ["length_mm", 5], ["volume"]],
+     [("length_mm",), ("mmea_mm", "shape_angle_deg")]),
+    ("decile_low", ["0.1", None, True, math.nan, 0.0, 0.9, -0.1], [0.05, 0.5]),
+    ("decile_high", ["0.9", None, True, False, math.nan, 0.1, 1.0, 1], [0.5, 0.95]),
 ] + [
     (name, POSITIVE_BAD + [True], [0.5, 10])
     for name in ("neighborhood_factor", "qb_threshold_global_mm", "qb_threshold_local_mm",

@@ -33,6 +33,8 @@ from swmparc.synth import (
     random_scene_spec,
 )
 
+from test_clustering import reference_quickbundles
+
 
 def arc_bundle(bundle_id="b", seed=0, count=40, center=(0.0, 0.0, 0.0)):
     spec = ArcSpec(bundle_id, center, 10.0, 170.0, (20.0, 40.0), 0.5, count, seed)
@@ -317,6 +319,26 @@ def test_global_align_falls_back_to_all_centroids_of_singletons():
     assert_same_registration(reg, every_centroid)
     assert np.all(np.isfinite(aligned))
     assert parcellate(atlas, subject, cfg).global_centroids == sizes
+
+
+def test_global_align_unchanged_by_the_pruned_quickbundles(monkeypatch):
+    # the full scan of every centroid, in place of the pruned one, must give
+    # the same centroid counts and the same transform bits on a scene where
+    # hundreds of singleton distractors are pruned
+    spec = random_scene_spec(n_bundles=4, streamlines_per_bundle=30, distractor_count=320,
+                             seed=11, global_rotation_deg=(4.0, -3.0, 6.0),
+                             global_translation_mm=(6.0, -4.0, 3.0))
+    scene = generate_scene(spec)
+    atlas = build_atlas(scene.atlas_bundles)
+    cfg = RunConfig(workers=1)
+    singletons = sum(c.count == 1 for c in quickbundles(scene.subject, cfg.qb_threshold_global_mm))
+    assert singletons >= 300
+    aligned, reg, sizes = global_align(atlas, scene.subject, cfg)
+    monkeypatch.setattr(parcellation, "quickbundles", reference_quickbundles)
+    aligned_full, reg_full, sizes_full = global_align(atlas, scene.subject, cfg)
+    assert sizes == sizes_full
+    assert_same_registration(reg, reg_full)
+    assert aligned.tobytes() == aligned_full.tobytes()
 
 
 def test_default_global_stage_recovers_rotation_among_distractors():
