@@ -52,7 +52,8 @@ def quickbundles(streamlines: np.ndarray, threshold_mm: float) -> list[Cluster]:
     k = streamlines.shape[1]
 
     means = streamlines.mean(axis=1)
-    scale = max(streamlines.max(), -streamlines.min())  # NaN prunes nothing
+    # NaN prunes nothing; the initial value keeps streamlines of no points legal
+    scale = max(streamlines.max(initial=0.0), -streamlines.min(initial=0.0))
     bound = threshold_mm * (1.0 + _BOUND_SLACK) + _BOUND_SLACK * scale
     bound_sq = bound * bound
     orders = np.array([np.arange(k), np.arange(k)[::-1]])  # direct, flipped

@@ -234,12 +234,15 @@ def streamline_sets(draw):
     return lines, threshold
 
 
+# lines of no points have NaN means and MDFs, which numpy reports
+@pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
 @settings(max_examples=300, deadline=None)
 @given(streamline_sets())
 @example(tie_case())
 @example(stale_mean_case())
 @example(nan_case())
 @example((random_streamlines(np.random.default_rng(9), 40) + 100.0, 2.0))
+@example((np.empty((3, 0, 3)), 2.0))  # no points: NaN MDFs, three clusters
 def test_pruned_scan_matches_full_scan_bit_for_bit(case):
     lines, threshold = case
     assert_same_clusters(quickbundles(lines, threshold), reference_quickbundles(lines, threshold))
