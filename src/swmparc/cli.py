@@ -118,9 +118,12 @@ def cmd_build_atlas(args) -> int:
         path = os.path.join(args.bundles, name)
         try:
             raw = read_tck(path)
-            arr = resample_all(raw, cfg.resample_k)
-        except (TrackFileError, ValueError) as e:
+        except TrackFileError as e:
             raise CliInputError(str(e)) from e
+        try:
+            arr = resample_all(raw, cfg.resample_k)
+        except ValueError as e:
+            raise CliInputError(f"{path}: {e}") from e
         if len(arr) < 2:
             raise CliInputError(f"{path}: atlas bundle too small")
         bundles.append(Bundle(name[:-4], arr))

@@ -1,50 +1,41 @@
-"""Uniform spatial grid over streamline bounding boxes.
+"""Bounding-box index of a tractogram for sphere neighborhood queries.
 
-Supports on-the-fly neighborhood queries without scanning the whole
-tractogram.  Cell size only affects speed, never results: queries return
-candidate supersets that callers filter exactly.
+Each streamline is reduced to the integer cell-index bounds of its AABB on a
+uniform grid, ``floor(min / cell)`` and ``floor(max / cell)``.  A query
+returns, in one vectorized box-overlap test, the streamlines whose cell range
+meets the cell range of the query sphere's bounding box: exactly the
+streamlines a map from grid cells to the streamlines whose AABB overlaps them
+would list for the query's cells.  Cell size only affects how many candidates
+a query returns, never results: callers filter the candidates exactly.
 """
 from __future__ import annotations
 
 import numpy as np
 
 
+def _cells(points: np.ndarray, cell_mm: float) -> np.ndarray:
+    return np.floor(points / cell_mm).astype(np.int64)
+
+
 class StreamlineGrid:
-    """Maps grid cells to the streamlines whose AABB overlaps them."""
+    """Cell-index bounds of every streamline's AABB on a uniform grid."""
 
     def __init__(self, streamlines: np.ndarray, cell_mm: float = 20.0):
         if cell_mm <= 0.0:
             raise ValueError("cell size must be positive")
         self.cell_mm = float(cell_mm)
         self.n = int(len(streamlines))
-        self._cells: dict[tuple[int, int, int], list[int]] = {}
-        if self.n == 0:
-            return
-        lo = np.floor(streamlines.min(axis=1) / self.cell_mm).astype(np.int64)
-        hi = np.floor(streamlines.max(axis=1) / self.cell_mm).astype(np.int64)
-        for idx in range(self.n):
-            x0, y0, z0 = lo[idx]
-            x1, y1, z1 = hi[idx]
-            for cx in range(x0, x1 + 1):
-                for cy in range(y0, y1 + 1):
-                    for cz in range(z0, z1 + 1):
-                        self._cells.setdefault((cx, cy, cz), []).append(idx)
+        # (3, n), so that the query compares along contiguous rows
+        self._lo = _cells(streamlines.min(axis=1), self.cell_mm).T.copy()
+        self._hi = _cells(streamlines.max(axis=1), self.cell_mm).T.copy()
 
     def sphere_candidates(self, center, radius_mm: float) -> np.ndarray:
         """Indices of streamlines whose AABB can intersect the query sphere.
 
         Sorted ascending; a superset of any containment rule's exact answer.
         """
-        if self.n == 0:
-            return np.empty(0, dtype=np.int64)
         center = np.asarray(center, dtype=np.float64)
-        lo = np.floor((center - radius_mm) / self.cell_mm).astype(np.int64)
-        hi = np.floor((center + radius_mm) / self.cell_mm).astype(np.int64)
-        mask = np.zeros(self.n, dtype=bool)
-        for cx in range(lo[0], hi[0] + 1):
-            for cy in range(lo[1], hi[1] + 1):
-                for cz in range(lo[2], hi[2] + 1):
-                    hits = self._cells.get((cx, cy, cz))
-                    if hits:
-                        mask[hits] = True
-        return np.flatnonzero(mask)
+        lo = _cells(center - radius_mm, self.cell_mm)
+        hi = _cells(center + radius_mm, self.cell_mm)
+        overlap = (self._lo <= hi[:, None]) & (self._hi >= lo[:, None])
+        return np.flatnonzero(overlap.all(axis=0))

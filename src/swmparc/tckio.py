@@ -5,6 +5,12 @@ lines, and a closing "END" line; then float32 little-endian xyz triplets
 starting at the byte position named by the "file: . <offset>" field.  A
 (NaN,NaN,NaN) triplet closes each streamline and an (Inf,Inf,Inf) triplet
 closes the stream.  Output bytes are deterministic for identical input.
+
+The reader views the body in place as float32 triplets and finds the
+separators and the terminator among the rows that are not finite, with
+array operations and no loop over rows; a malformed file is rejected with
+the byte offset of its first bad row in file order.  It returns float64
+views into one copy of the body.
 """
 from __future__ import annotations
 
@@ -100,7 +106,8 @@ def _parse_header(raw: bytes, path) -> tuple[dict[str, str], int]:
 
 
 def read_tck(path) -> list[np.ndarray]:
-    """Read a track file into a list of float64 (n,3) arrays."""
+    """Read a track file into a list of float64 (n,3) arrays, views into
+    one array; the header count is checked before the split."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -108,40 +115,39 @@ def read_tck(path) -> list[np.ndarray]:
         raise TrackFileError(f"cannot read track file {path}: {e}") from e
     fields, offset = _parse_header(raw, path)
 
-    body = raw[offset:]
-    if len(body) % 12 != 0:
+    size = len(raw) - offset
+    if size % 12 != 0:
         raise TrackFileError(
-            f"{path}: binary section truncated at byte {offset + len(body)} "
-            f"({len(body)} bytes is not a whole number of triplets)")
-    triplets = np.frombuffer(body, dtype="<f4").reshape(-1, 3).astype(np.float64)
+            f"{path}: binary section truncated at byte {len(raw)} "
+            f"({size} bytes is not a whole number of triplets)")
+    triplets = np.frombuffer(raw, dtype="<f4", offset=offset).reshape(-1, 3)
 
-    nan_rows = np.isnan(triplets).any(axis=1)
-    inf_rows = np.isinf(triplets).any(axis=1)
-    streamlines: list[np.ndarray] = []
-    start = 0
-    ended = False
-    for row in range(len(triplets)):
-        byte = offset + 12 * row
-        if inf_rows[row]:
-            if not np.all(np.isposinf(triplets[row])):
-                raise TrackFileError(f"{path}: malformed terminator triplet at byte {byte}")
-            if row != start:
-                raise TrackFileError(
-                    f"{path}: unterminated streamline before terminator at byte {byte}")
-            ended = True
-            if row != len(triplets) - 1:
-                raise TrackFileError(f"{path}: trailing data after terminator at byte {byte + 12}")
-            break
-        if nan_rows[row]:
-            if not np.all(np.isnan(triplets[row])):
-                raise TrackFileError(f"{path}: malformed separator triplet at byte {byte}")
-            if row == start:
-                raise TrackFileError(f"{path}: empty streamline at byte {byte}")
-            streamlines.append(triplets[start:row].copy())
-            start = row + 1
-    if not ended:
-        raise TrackFileError(
-            f"{path}: missing terminator triplet at byte {offset + len(body)}")
+    # separators and the terminator are the only rows that are not finite
+    marks = np.flatnonzero(~np.isfinite(triplets).all(axis=1))
+    rows = triplets[marks]
+    inf = np.isinf(rows).any(axis=1)
+    end = int(np.argmax(inf)) if inf.any() else len(marks)
+    seps = marks[:end]
+    # a gap of one row from the previous mark (or from row -1) closes nothing
+    closes_nothing = np.diff(marks[:end + 1], prepend=-1) == 1
+    bad_sep = ~np.isnan(rows[:end]).all(axis=1)
+    first = np.flatnonzero(bad_sep | closes_nothing[:end])
+    if first.size:
+        i = first[0]
+        byte = offset + 12 * int(seps[i])
+        if bad_sep[i]:
+            raise TrackFileError(f"{path}: malformed separator triplet at byte {byte}")
+        raise TrackFileError(f"{path}: empty streamline at byte {byte}")
+    if end == len(marks):
+        raise TrackFileError(f"{path}: missing terminator triplet at byte {len(raw)}")
+    row = int(marks[end])
+    byte = offset + 12 * row
+    if not np.all(np.isposinf(rows[end])):
+        raise TrackFileError(f"{path}: malformed terminator triplet at byte {byte}")
+    if not closes_nothing[end]:
+        raise TrackFileError(f"{path}: unterminated streamline before terminator at byte {byte}")
+    if row != len(triplets) - 1:
+        raise TrackFileError(f"{path}: trailing data after terminator at byte {byte + 12}")
 
     declared = fields.get("count")
     if declared is not None:
@@ -149,7 +155,10 @@ def read_tck(path) -> list[np.ndarray]:
             declared_n = int(declared)
         except ValueError:
             raise TrackFileError(f"{path}: non-integer count field {declared!r}") from None
-        if declared_n != len(streamlines):
+        if declared_n != len(seps):
             raise TrackFileError(
-                f"{path}: header count {declared_n} != {len(streamlines)} streamlines decoded")
-    return streamlines
+                f"{path}: header count {declared_n} != {len(seps)} streamlines decoded")
+
+    points = triplets[:row].astype(np.float64)
+    starts = np.concatenate(([0], seps[:-1] + 1)).tolist()
+    return [points[a:b] for a, b in zip(starts, seps.tolist())]

@@ -152,6 +152,29 @@ def test_exit_2_on_bad_inputs(work, tmp_path):
                  "--out", str(tmp_path / "r.json")]) == 2
 
 
+def test_exit_2_names_the_first_bad_streamline(work, tmp_path, capsys):
+    # one zero-length streamline rejects the whole file, and the message
+    # names it by its index in the file
+    subject = read_tck(work / "scene" / "subject.tck")
+    subject[17] = np.repeat(subject[17][:1], 4, axis=0)
+    subject[30] = np.repeat(subject[30][:1], 2, axis=0)
+    path = tmp_path / "subject.tck"
+    write_tck(subject, path)
+    capsys.readouterr()
+    assert main(["parcellate", "--atlas", str(work / "atlas"), "--subject", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {path}: streamline 17: zero-length streamline" in capsys.readouterr().err
+    bundles = tmp_path / "bundles"
+    shutil.copytree(work / "scene" / "bundles", bundles)
+    lines = read_tck(bundles / "cli_b.tck")
+    lines[3] = np.repeat(lines[3][:1], 3, axis=0)
+    write_tck(lines, bundles / "cli_b.tck")
+    assert main(["build-atlas", "--bundles", str(bundles), "--out", str(tmp_path / "a")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bundles / 'cli_b.tck'}: streamline 3: zero-length streamline" in err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "a").exists()
+
+
 def test_exit_2_on_truth_length_mismatch(work, tmp_path):
     from swmparc.serialization import write_truth
     write_truth(["cli_a"] * 3, tmp_path / "short.json")

@@ -171,3 +171,142 @@ def test_bundle_validation_and_summary():
     assert r == pytest.approx(np.linalg.norm(arr.reshape(-1, 3) - center, axis=1).max())
     # every point inside the sphere
     assert np.all(np.linalg.norm(arr.reshape(-1, 3) - center, axis=1) <= r + 1e-12)
+
+
+# -- resample_all against the stack of scalar resample calls ------------------
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import swmparc.geometry as geometry
+
+
+def reference_resample_all(streamlines, k):
+    """The stack of scalar `resample` calls that `resample_all` replaced,
+    frozen as its oracle; an error names the first streamline that fails."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    out = []
+    for i, s in enumerate(streamlines):
+        try:
+            out.append(resample(s, k))
+        except ValueError as e:
+            raise ValueError(f"streamline {i}: {e}") from None
+    return np.stack(out) if out else np.empty((0, k, 3))
+
+
+def outcome(fn, streamlines, k):
+    """(result bytes, None) or (None, error text)."""
+    try:
+        out = fn(streamlines, k)
+    except ValueError as e:
+        return None, str(e)
+    return (out.shape, out.dtype.str, out.tobytes()), None
+
+
+BAD_LINES = {
+    "nan": lambda p: np.where(np.arange(len(p))[:, None] == len(p) // 2, np.nan, p),
+    "inf": lambda p: np.where(np.arange(len(p))[:, None] == len(p) - 1, -np.inf, p),
+    "one point": lambda p: p[:1],
+    "no points": lambda p: p[:0],
+    "all equal": lambda p: np.repeat(p[:1], len(p), axis=0),
+    "two columns": lambda p: p[:, :2],
+    "flat": lambda p: p.ravel(),
+}
+
+
+@st.composite
+def polyline_sets(draw):
+    """1-12 polylines of 2-150 points near an origin up to 1e5 mm, whose
+    segments mix ordinary steps, exact duplicates and 1e-12 mm steps, or unit
+    steps along x with y = z = -0.0, where resampling targets fall on the
+    points themselves; an optional bad polyline replaces one of them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = np.array(draw(st.lists(st.sampled_from(["step", "duplicate", "tiny"]),
+                                   min_size=1, max_size=3, unique=True)))
+    lines = []
+    for m in draw(st.lists(st.integers(2, 150), min_size=1, max_size=12)):
+        if draw(st.booleans()) and draw(st.booleans()):
+            line = np.full((m, 3), -0.0)
+            line[:, 0] = draw(st.integers(-100, 100)) + np.arange(m)
+            lines.append(line)
+            continue
+        origin = draw(st.sampled_from([0.0, 1.0, 1e3, -1e5, 1e5]))
+        kind = rng.choice(kinds, m - 1)
+        steps = rng.normal(0.0, rng.uniform(0.1, 10.0), (m - 1, 3))
+        steps[kind == "duplicate"] = 0.0
+        tiny = kind == "tiny"
+        steps[tiny] = 1e-12 * rng.choice([-1.0, 1.0], (tiny.sum(), 3))
+        start = origin + rng.uniform(-50.0, 50.0, (1, 3))
+        lines.append(np.concatenate([start, start + np.cumsum(steps, axis=0)]))
+    fault = draw(st.none() | st.sampled_from(sorted(BAD_LINES)))
+    if fault is not None:
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = BAD_LINES[fault](lines[i])
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=polyline_sets(), k=st.sampled_from([3, 5, 21, 51]))
+def test_resample_all_matches_the_scalar_stack_bit_for_bit(lines, k):
+    assert outcome(resample_all, lines, k) == outcome(reference_resample_all, lines, k)
+
+
+def test_resample_all_matches_the_scalar_stack_over_many_chunks(monkeypatch):
+    rng = np.random.default_rng(12)
+    lines = [np.cumsum(rng.normal(0.0, 2.0, (m, 3)), axis=0) for m in rng.integers(2, 150, 60)]
+    lines[7][3] = lines[7][2]
+    lines[8][2:] = lines[8][1] + 1e-12 * np.arange(1, len(lines[8]) - 1)[:, None]
+    calls = []
+    chunk = geometry._resample_chunk
+    monkeypatch.setattr(geometry, "_resample_chunk",
+                        lambda arrays, *rest: calls.append(len(arrays)) or chunk(arrays, *rest))
+    monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", 600)
+    for k in (3, 21):
+        calls.clear()
+        assert outcome(resample_all, lines, k) == outcome(reference_resample_all, lines, k)
+        assert len(calls) >= 10 and sum(calls) == len(lines)
+    # the first bad streamline is named by its index in the whole input,
+    # however the chunks fall
+    lines[41] = np.repeat(lines[41][:1], 5, axis=0)
+    lines[50] = lines[50][:1]
+    with pytest.raises(ValueError, match=r"^streamline 41: zero-length streamline$"):
+        resample_all(lines, 21)
+
+
+def test_knot_search_is_exact_one_ulp_from_the_targets():
+    # knots on, and one ulp either side of, every target: the starting count
+    # ceil(cum / step) is then off by one in both directions for some knots
+    totals = np.array([1.0, 3.7, 1e5 / 3, 2.0 ** 0.5 * 1e-3, 987.654321])
+    for k in (3, 5, 21, 51):
+        x = np.linspace(0.0, totals, k, axis=1)
+        cum = np.sort(np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)],
+                                     axis=1), axis=1)
+        cum = np.clip(cum, 0.0, totals[:, None])
+        expected = (cum[:, None, :] <= x[:, :, None]).sum(axis=2) - 1
+        assert np.array_equal(geometry._last_at_or_below(cum, x), expected)
+
+
+def test_resample_all_names_the_first_bad_streamline():
+    good = np.array([[0.0, 0, 0], [1.0, 0, 0], [1.0, 2.0, 0]])
+    same = np.zeros((3, 3))
+    nan = good.copy()
+    nan[1, 2] = np.nan
+    cases = [
+        ([good, same, nan], "streamline 1: zero-length streamline"),
+        ([good, nan, same], "streamline 1: streamline contains non-finite coordinates"),
+        ([good, good, good[:1], nan], "streamline 2: streamline needs at least 2 points"),
+        ([good, nan, good[:, :2]], "streamline 1: streamline contains non-finite coordinates"),
+        ([good, good[:, :2], nan], "streamline 1: streamline must be an (N, 3) array"),
+    ]
+    for lines, message in cases:
+        with pytest.raises(ValueError) as caught:
+            resample_all(lines, 21)
+        assert str(caught.value) == message
+
+
+def test_resample_all_checks_k_before_an_empty_input():
+    for k in (1, 0, -3):
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            resample_all([], k)
+    assert resample_all([], 5).shape == (0, 5, 3)

@@ -160,3 +160,165 @@ def test_count_mismatch(tmp_path):
 def test_missing_file_raises(tmp_path):
     with pytest.raises(TrackFileError, match="cannot read"):
         read_tck(tmp_path / "nope.tck")
+
+
+# -- the vectorized reader against the per-row loop it replaced ---------------
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from swmparc.tckio import _parse_header
+
+
+def reference_read_tck(path) -> list[np.ndarray]:
+    """The reader as a loop over every triplet, frozen as the oracle of
+    `read_tck`: the same streamlines, or the same error text."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as e:
+        raise TrackFileError(f"cannot read track file {path}: {e}") from e
+    fields, offset = _parse_header(raw, path)
+
+    body = raw[offset:]
+    if len(body) % 12 != 0:
+        raise TrackFileError(
+            f"{path}: binary section truncated at byte {offset + len(body)} "
+            f"({len(body)} bytes is not a whole number of triplets)")
+    triplets = np.frombuffer(body, dtype="<f4").reshape(-1, 3).astype(np.float64)
+
+    nan_rows = np.isnan(triplets).any(axis=1)
+    inf_rows = np.isinf(triplets).any(axis=1)
+    streamlines: list[np.ndarray] = []
+    start = 0
+    ended = False
+    for row in range(len(triplets)):
+        byte = offset + 12 * row
+        if inf_rows[row]:
+            if not np.all(np.isposinf(triplets[row])):
+                raise TrackFileError(f"{path}: malformed terminator triplet at byte {byte}")
+            if row != start:
+                raise TrackFileError(
+                    f"{path}: unterminated streamline before terminator at byte {byte}")
+            ended = True
+            if row != len(triplets) - 1:
+                raise TrackFileError(f"{path}: trailing data after terminator at byte {byte + 12}")
+            break
+        if nan_rows[row]:
+            if not np.all(np.isnan(triplets[row])):
+                raise TrackFileError(f"{path}: malformed separator triplet at byte {byte}")
+            if row == start:
+                raise TrackFileError(f"{path}: empty streamline at byte {byte}")
+            streamlines.append(triplets[start:row].copy())
+            start = row + 1
+    if not ended:
+        raise TrackFileError(
+            f"{path}: missing terminator triplet at byte {offset + len(body)}")
+
+    declared = fields.get("count")
+    if declared is not None:
+        try:
+            declared_n = int(declared)
+        except ValueError:
+            raise TrackFileError(f"{path}: non-integer count field {declared!r}") from None
+        if declared_n != len(streamlines):
+            raise TrackFileError(
+                f"{path}: header count {declared_n} != {len(streamlines)} streamlines decoded")
+    return streamlines
+
+
+def outcome(reader, path):
+    """(streamline bytes, None) or (None, error text) of one read."""
+    try:
+        return [(s.shape, s.dtype.str, s.tobytes()) for s in reader(path)], None
+    except TrackFileError as e:
+        return None, str(e)
+
+
+NAN, INF = np.nan, np.inf
+# rows written over a triplet of the body: partial and full NaN separators,
+# partial, negative and full Inf terminators, and mixes of the two
+FAULT_ROWS = [
+    [NAN, NAN, NAN], [NAN, 0.0, 0.0], [0.0, NAN, 1.0], [1.0, 2.0, NAN],
+    [INF, INF, INF], [INF, 0.0, 0.0], [0.0, 0.0, INF], [-INF, -INF, -INF],
+    [INF, -INF, INF], [NAN, INF, INF], [INF, INF, NAN], [1.5, -2.5, 3.5],
+]
+FAULTS = st.one_of(
+    st.tuples(st.just("row"), st.integers(0, 400), st.sampled_from(range(len(FAULT_ROWS)))),
+    st.tuples(st.just("insert"), st.integers(0, 400), st.sampled_from(range(len(FAULT_ROWS)))),
+    st.tuples(st.just("append"), st.integers(1, 3), st.sampled_from(range(len(FAULT_ROWS)))),
+    st.tuples(st.just("cut"), st.integers(1, 40), st.none()),
+    st.tuples(st.just("count"), st.integers(-2, 3), st.none()),
+    st.tuples(st.just("count_text"), st.sampled_from(["x", "1.5", ""]), st.none()),
+)
+
+
+def apply_fault(raw: bytes, fault) -> bytes:
+    offset = data_offset(raw)
+    rows = (len(raw) - offset) // 12
+    kind, where, which = fault
+    if kind in ("row", "insert"):
+        row = where % max(rows, 1)
+        patch = np.asarray(FAULT_ROWS[which], dtype="<f4").tobytes()
+        cut = offset + 12 * row
+        return raw[:cut] + patch + raw[cut + 12 * (kind == "row"):]
+    if kind == "append":
+        return raw + np.asarray([FAULT_ROWS[which]] * where, dtype="<f4").tobytes()
+    if kind == "cut":
+        return raw[:max(offset, len(raw) - where)]
+    count = re.search(rb"count: ([^\n]*)", raw)
+    if kind == "count":
+        declared = count.group(1)
+        value = str(max(0, int(declared) + where if declared.isdigit() else where)).encode()
+    else:
+        value = where.encode()
+    return raw[:count.start(1)] + value + raw[count.end(1):]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lengths=st.lists(st.integers(1, 12), max_size=8),
+       faults=st.lists(FAULTS, max_size=3), seed=st.integers(0, 2 ** 32 - 1))
+def test_vector_reader_matches_the_row_loop(tmp_path, lengths, faults, seed):
+    rng = np.random.default_rng(seed)
+    lines = [rng.uniform(-1e5, 1e5, (max(n, 2), 3)) for n in lengths]
+    path, raw = write_raw(tmp_path, lines)
+    for fault in faults:
+        raw = apply_fault(raw, fault)
+    path.write_bytes(raw)
+    expected = outcome(reference_read_tck, path)
+    assert outcome(read_tck, path) == expected
+
+
+def test_reader_examples_take_every_path(tmp_path):
+    """Each fault the property draws gives its own error on some file."""
+    path, raw = write_raw(tmp_path, [np.ones((3, 3)), np.zeros((2, 3))])
+    cases = {
+        ("row", 3, 1): "malformed separator triplet",
+        ("row", 0, 0): "empty streamline",
+        ("row", 4, 0): "empty streamline",
+        ("insert", 4, 0): "empty streamline",
+        ("row", 7, 5): "malformed terminator triplet",
+        ("row", 1, 6): "malformed terminator triplet",
+        ("row", 7, 11): "missing terminator triplet",
+        ("row", 6, 4): "unterminated streamline",
+        ("append", 1, 11): "trailing data after terminator",
+        ("append", 2, 4): "trailing data after terminator",
+        ("cut", 12, None): "missing terminator triplet",
+        ("cut", 5, None): "truncated at byte",
+        ("count", 1, None): "header count 3 != 2",
+        ("count_text", "x", None): "non-integer count field",
+    }
+    for fault, message in cases.items():
+        path.write_bytes(apply_fault(raw, fault))
+        expected = outcome(reference_read_tck, path)
+        assert expected[1] is not None and message in expected[1], fault
+        assert outcome(read_tck, path) == expected, fault
+
+
+def test_streamlines_are_views_of_one_array(tmp_path):
+    path, _ = write_raw(tmp_path, [np.ones((3, 3)), np.zeros((4, 3)), np.ones((2, 3))])
+    lines = read_tck(path)
+    assert [s.shape for s in lines] == [(3, 3), (4, 3), (2, 3)]
+    base = lines[0].base
+    assert base is not None and all(s.base is base for s in lines)
+    assert all(s.dtype == np.float64 for s in lines)
