@@ -3,14 +3,15 @@ decile threshold intervals.
 
 Every bundle gets a reference streamline (the flip-aligned mean of all its
 members), and each member is described by six features computed against that
-reference and the bundle barycenter.  Feature conventions here are exactly
-the ones used for subject candidates during labeling, so atlas thresholds
-and subject features are directly comparable.
+reference and the bundle barycenter.  `feature_table` is the one
+implementation of the six features: atlas samples are its rows for the
+bundle's own members and labeling calls it for subject candidates, so atlas
+thresholds and subject features are directly comparable.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,54 +112,72 @@ def reference_streamline(streamlines: np.ndarray) -> np.ndarray:
     return clusters[0].centroid
 
 
-def compute_feature_samples(bundle: Bundle,
-                            reference: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Per-streamline feature arrays for an atlas bundle.
+def feature_table(streamlines: np.ndarray, nearest_mmea: np.ndarray, model: BundleModel):
+    """The six feature arrays of a batch plus per-row degenerate flags.
 
-    Pairwise features use a leave-one-out nearest neighbor (mmea) or the
-    bundle reference streamline (plane/direction angles).  Degenerate values
-    are dropped from the affected feature's sample set, so arrays may be
-    shorter than the bundle.
+    `model` supplies the reference geometry (barycenter, reference normal and
+    direction).  `nearest_mmea` is each row's mmea to its nearest streamline
+    of the caller's choice: the other members for atlas samples, the model
+    bundle for subject candidates.  A flagged plane angle is NaN.
     """
+    n = len(streamlines)
+    no_flag = np.zeros(n, dtype=bool)
+    values = {
+        "length_mm": arc_lengths(streamlines),
+        "dist_to_barycenter_mm": np.linalg.norm(midpoints(streamlines) - model.barycenter, axis=1),
+        "mmea_mm": nearest_mmea,
+    }
+    degenerate = {f: no_flag for f in values}
+    if model.reference_normal_degenerate:
+        values["plane_angle_deg"] = np.full(n, np.nan)
+        degenerate["plane_angle_deg"] = np.ones(n, dtype=bool)
+    else:
+        normals, ndeg = plane_normals(streamlines)
+        angles = angles_to_plane(normals, model.reference_normal)
+        values["plane_angle_deg"] = np.where(ndeg, np.nan, angles)
+        degenerate["plane_angle_deg"] = ndeg
+    values["direction_angle_deg"], degenerate["direction_angle_deg"] = angles_to_direction(
+        direction_vectors(streamlines), model.reference_direction)
+    values["shape_angle_deg"], degenerate["shape_angle_deg"] = shape_angles(streamlines)
+    return values, degenerate
+
+
+def _reference_model(bundle: Bundle) -> BundleModel:
+    """The bundle's reference geometry, as a model with no thresholds yet."""
     arr = bundle.streamlines
     if len(arr) < 2:
         raise ValueError("atlas bundle too small")
-    if reference is None:
-        reference = reference_streamline(arr)
-    center = bundle_barycenter(arr)
+    reference = reference_streamline(arr)
+    normal, normal_degenerate = plane_normals(reference[None])
+    return BundleModel(
+        bundle=bundle,
+        barycenter=bundle_barycenter(arr),
+        radius_mm=bundle_radius(arr),
+        reference=reference,
+        reference_normal=normal[0],
+        reference_normal_degenerate=bool(normal_degenerate[0]),
+        reference_direction=direction_vectors(reference[None])[0],
+        thresholds={},
+        fits={},
+    )
 
-    lengths = arc_lengths(arr)
-    dists = np.linalg.norm(midpoints(arr) - center, axis=1)
 
+def compute_feature_samples(bundle: Bundle,
+                            model: BundleModel | None = None) -> dict[str, np.ndarray]:
+    """Per-streamline feature arrays for an atlas bundle.
+
+    `feature_table` of the members against the bundle's reference geometry
+    (`model`, worked out from the bundle when None), with a leave-one-out
+    nearest neighbor for mmea.  Degenerate values are dropped from the
+    affected feature's sample set, so arrays may be shorter than the bundle.
+    """
+    if model is None:
+        model = _reference_model(bundle)
+    arr = bundle.streamlines
     d = pairwise_mmea(arr, arr)
     np.fill_diagonal(d, np.inf)
-    mmea_nn = d.min(axis=1)
-
-    normals, normal_degen = plane_normals(arr)
-    ref_normal, ref_normal_degen = plane_normals(reference[None])
-    ref_normal = ref_normal[0]
-    if bool(ref_normal_degen[0]):
-        plane = np.empty(0)
-    else:
-        plane_all = angles_to_plane(normals, ref_normal)
-        plane = plane_all[~normal_degen]
-
-    directions = direction_vectors(arr)
-    ref_direction = direction_vectors(reference[None])[0]
-    dir_all, dir_degen = angles_to_direction(directions, ref_direction)
-    direction = dir_all[~dir_degen]
-
-    shape_all, shape_degen = shape_angles(arr)
-    shape = shape_all[~shape_degen]
-
-    return {
-        "length_mm": lengths,
-        "dist_to_barycenter_mm": dists,
-        "mmea_mm": mmea_nn,
-        "plane_angle_deg": plane,
-        "direction_angle_deg": direction,
-        "shape_angle_deg": shape,
-    }
+    values, degenerate = feature_table(arr, d.min(axis=1), model)
+    return {f: values[f][~degenerate[f]] for f in FEATURE_NAMES}
 
 
 def _empirical_interval(samples: np.ndarray, low_q: float, high_q: float) -> FeatureInterval:
@@ -221,35 +240,16 @@ def build_bundle_model(
     min_fit_samples: int = 8,
 ) -> BundleModel:
     """Analyze one atlas bundle into a BundleModel."""
-    arr = bundle.streamlines
-    if len(arr) < 2:
-        raise ValueError("atlas bundle too small")
-    reference = reference_streamline(arr)
-    samples = compute_feature_samples(bundle, reference)
-
+    model = _reference_model(bundle)
+    samples = compute_feature_samples(bundle, model)
     thresholds: dict[str, FeatureInterval] = {}
     fits: dict[str, FittedDistribution | None] = {}
     for feature in FEATURE_NAMES:
-        interval, fit = feature_interval(
+        thresholds[feature], fits[feature] = feature_interval(
             feature, samples[feature], low_q, high_q,
             source=threshold_source, min_fit_samples=min_fit_samples,
         )
-        thresholds[feature] = interval
-        fits[feature] = fit
-
-    ref_normal, ref_normal_degen = plane_normals(reference[None])
-    ref_direction = direction_vectors(reference[None])[0]
-    return BundleModel(
-        bundle=bundle,
-        barycenter=bundle_barycenter(arr),
-        radius_mm=bundle_radius(arr),
-        reference=reference,
-        reference_normal=ref_normal[0],
-        reference_normal_degenerate=bool(ref_normal_degen[0]),
-        reference_direction=ref_direction,
-        thresholds=thresholds,
-        fits=fits,
-    )
+    return replace(model, thresholds=thresholds, fits=fits)
 
 
 def build_atlas(

@@ -66,13 +66,16 @@ def _load_config(path: str | None, args) -> RunConfig:
     return cfg
 
 
-def _load_subject(path: str, k: int) -> np.ndarray:
+def _load_subject(path: str, k: int, affine: np.ndarray | None = None) -> np.ndarray:
+    """Read, optionally move by a 4x4 affine, and resample a subject tractogram."""
     try:
         raw = read_tck(path)
     except TrackFileError as e:
         raise CliInputError(str(e)) from e
     if not raw:
         raise CliInputError(f"{path}: empty subject tractogram")
+    if affine is not None:
+        raw = [apply_affine(affine, s) for s in raw]
     try:
         return resample_all(raw, k)
     except ValueError as e:
@@ -152,24 +155,13 @@ def cmd_parcellate(args) -> int:
         atlas = read_atlas(args.atlas)
     except AtlasFormatError as e:
         raise CliInputError(str(e)) from e
+    affine = None
     if args.affine is not None:
         try:
             affine = read_affine(args.affine)
         except ValueError as e:
             raise CliInputError(str(e)) from e
-        try:
-            raw = read_tck(args.subject)
-        except TrackFileError as e:
-            raise CliInputError(str(e)) from e
-        if not raw:
-            raise CliInputError(f"{args.subject}: empty subject tractogram")
-        raw = [apply_affine(affine, s) for s in raw]
-        try:
-            subject = resample_all(raw, atlas.resample_k)
-        except ValueError as e:
-            raise CliInputError(f"{args.subject}: {e}") from e
-    else:
-        subject = _load_subject(args.subject, atlas.resample_k)
+    subject = _load_subject(args.subject, atlas.resample_k, affine)
     _say(f"parcellating {len(subject)} streamlines against "
          f"{len(atlas.bundles)} bundles (workers={cfg.workers or 'auto'})")
     result = parcellate(atlas, subject, cfg)

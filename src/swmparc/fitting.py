@@ -253,7 +253,10 @@ def _fit_gamma(x: np.ndarray) -> FittedDistribution | None:
     n = len(y)
 
     def nll(t):
-        a, s = math.exp(t[0]), math.exp(t[1])
+        try:
+            a, s = math.exp(t[0]), math.exp(t[1])
+        except OverflowError:           # the descent may probe logs past 709
+            return math.inf
         if not (math.isfinite(a) and math.isfinite(s)) or a <= 0 or s <= 0:
             return math.inf
         return -((a - 1.0) * sum_logy - sum_y / s
@@ -285,7 +288,10 @@ def _fit_beta(x: np.ndarray) -> FittedDistribution | None:
     n = len(u)
 
     def nll(t):
-        a, b = math.exp(t[0]), math.exp(t[1])
+        try:
+            a, b = math.exp(t[0]), math.exp(t[1])
+        except OverflowError:
+            return math.inf
         if not (math.isfinite(a) and math.isfinite(b)):
             return math.inf
         return -((a - 1.0) * sum_logu + (b - 1.0) * sum_log1mu - n * betaln(a, b))
@@ -312,7 +318,10 @@ def _fit_burr(x: np.ndarray) -> FittedDistribution | None:
     n = len(y)
 
     def nll(t):
-        c, k, lam = math.exp(t[0]), math.exp(t[1]), math.exp(t[2])
+        try:
+            c, k, lam = math.exp(t[0]), math.exp(t[1]), math.exp(t[2])
+        except OverflowError:
+            return math.inf
         if not all(map(math.isfinite, (c, k, lam))):
             return math.inf
         z = logy - math.log(lam)

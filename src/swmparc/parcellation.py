@@ -1,5 +1,6 @@
 """Subject labeling pipeline: global alignment onto the atlas, per-bundle
-local registration, six-feature computation, and threshold-interval decisions.
+local registration, the six features of each candidate (`atlas.feature_table`
+with the mmea to the model bundle), and threshold-interval decisions.
 
 Per-bundle work is independent by construction (immutable atlas and subject
 arrays, merge ordered by bundle index), so any worker count produces the
@@ -13,19 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import AtlasModel, BundleModel
+from .atlas import AtlasModel, BundleModel, feature_table
 from .clustering import Cluster, cluster_centroids, quickbundles
 from .config import FEATURE_NAMES, RunConfig
 from .distances import pairwise_mmea
-from .geometry import (
-    angles_to_direction,
-    angles_to_plane,
-    arc_lengths,
-    direction_vectors,
-    midpoints,
-    plane_normals,
-    shape_angles,
-)
 from .registration import (
     LocalRegistration,
     RegistrationResult,
@@ -100,50 +92,16 @@ class ParcellationResult:
         return {i: tuple(v) for i, v in labels.items()}
 
 
-def _feature_table(candidates: np.ndarray, model: BundleModel):
-    """Six feature arrays plus candidate-side degenerate flags for a batch."""
-    n = len(candidates)
-    no_flag = np.zeros(n, dtype=bool)
-    values: dict[str, np.ndarray] = {}
-    degenerate: dict[str, np.ndarray] = {}
-
-    values["length_mm"] = arc_lengths(candidates)
-    degenerate["length_mm"] = no_flag
-    values["dist_to_barycenter_mm"] = np.linalg.norm(
-        midpoints(candidates) - model.barycenter, axis=1)
-    degenerate["dist_to_barycenter_mm"] = no_flag
-    values["mmea_mm"] = pairwise_mmea(candidates, model.bundle.streamlines).min(axis=1)
-    degenerate["mmea_mm"] = no_flag
-
-    if model.reference_normal_degenerate:
-        values["plane_angle_deg"] = np.full(n, np.nan)
-        degenerate["plane_angle_deg"] = np.ones(n, dtype=bool)
-    else:
-        normals, ndeg = plane_normals(candidates)
-        angles = angles_to_plane(normals, model.reference_normal)
-        values["plane_angle_deg"] = np.where(ndeg, np.nan, angles)
-        degenerate["plane_angle_deg"] = ndeg
-
-    dirs = direction_vectors(candidates)
-    dir_angles, ddeg = angles_to_direction(dirs, model.reference_direction)
-    values["direction_angle_deg"] = dir_angles
-    degenerate["direction_angle_deg"] = ddeg
-
-    shape, sdeg = shape_angles(candidates)
-    values["shape_angle_deg"] = shape
-    degenerate["shape_angle_deg"] = sdeg
-    return values, degenerate
-
-
 def compute_features(candidate: np.ndarray, model: BundleModel) -> tuple[dict[str, float], tuple[str, ...]]:
     """Feature vector of one candidate against a bundle model.
 
-    Uses the same conventions as the atlas feature samples, so the values are
-    directly comparable with the model's threshold intervals.  Returns the
+    Computed by the same `feature_table` as the atlas feature samples, so the
+    values are directly comparable with the model's threshold intervals.  Returns the
     six values plus the names of any degenerate (NaN-valued) features.
     """
     batch = np.asarray(candidate, dtype=np.float64)[None, :, :]
-    values, degenerate = _feature_table(batch, model)
+    nearest = pairwise_mmea(batch, model.bundle.streamlines).min(axis=1)
+    values, degenerate = feature_table(batch, nearest, model)
     fv = {f: float(values[f][0]) for f in FEATURE_NAMES}
     flagged = tuple(f for f in FEATURE_NAMES if bool(degenerate[f][0]))
     return fv, flagged
@@ -201,7 +159,6 @@ def parcellate_bundle(
         model.barycenter, model.radius_mm,
         atlas_streamlines, subject_streamlines,
         config=cfg, atlas_grid=atlas_grid, subject_grid=subject_grid,
-        bundle_id=model.id,
     )
     if local.absent:
         return BundleParcellation(
@@ -211,9 +168,10 @@ def parcellate_bundle(
             decisions=(),
             local=local,
         )
-    indices = local.neighborhood.streamline_indices
+    indices = local.neighborhood
     candidates = apply_rigid(local.registration.transform, subject_streamlines[indices])
-    values, degen = _feature_table(candidates, model)
+    nearest = pairwise_mmea(candidates, model.bundle.streamlines).min(axis=1)
+    values, degen = feature_table(candidates, nearest, model)
 
     decisions = []
     accepted = []

@@ -231,26 +231,14 @@ def sbr_rigid(moving: np.ndarray, static: np.ndarray, config: RunConfig | None =
     )
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    bundle_id: str
-    streamline_indices: np.ndarray
-    center: np.ndarray
-    radius_mm: float
-
-    def __len__(self) -> int:
-        return int(len(self.streamline_indices))
-
-
 def extract_neighborhood(
     streamlines: np.ndarray,
     center,
     radius_mm: float,
     rule: str = "all",
     grid: StreamlineGrid | None = None,
-    bundle_id: str = "",
-) -> Neighborhood:
-    """Streamlines of a tractogram contained in a sphere.
+) -> np.ndarray:
+    """Ascending indices of the streamlines of a tractogram contained in a sphere.
 
     rule="all": every resampled point inside the sphere (strict reading);
     rule="any": at least one point inside.  With a grid the scan only touches
@@ -267,13 +255,10 @@ def extract_neighborhood(
     else:
         candidates = np.arange(len(streamlines), dtype=np.int64)
     if len(candidates) == 0:
-        indices = candidates
-    else:
-        d = np.linalg.norm(streamlines[candidates] - center, axis=2)
-        inside = d.max(axis=1) <= radius_mm if rule == "all" else d.min(axis=1) <= radius_mm
-        indices = candidates[inside]
-    return Neighborhood(bundle_id=bundle_id, streamline_indices=indices,
-                        center=center, radius_mm=float(radius_mm))
+        return candidates
+    d = np.linalg.norm(streamlines[candidates] - center, axis=2)
+    inside = d.max(axis=1) <= radius_mm if rule == "all" else d.min(axis=1) <= radius_mm
+    return candidates[inside]
 
 
 @dataclass(frozen=True)
@@ -281,7 +266,7 @@ class LocalRegistration:
     """Outcome of one bundle's local neighborhood registration."""
 
     registration: RegistrationResult
-    neighborhood: Neighborhood
+    neighborhood: np.ndarray          # ascending subject indices in the sphere
     atlas_neighborhood_size: int
     absent: bool
 
@@ -294,7 +279,6 @@ def lsnr(
     config: RunConfig | None = None,
     atlas_grid: StreamlineGrid | None = None,
     subject_grid: StreamlineGrid | None = None,
-    bundle_id: str = "",
 ) -> LocalRegistration:
     """Local streamline neighborhood registration for one bundle.
 
@@ -307,11 +291,11 @@ def lsnr(
     sphere_radius = cfg.neighborhood_factor * float(radius_mm)
     atlas_nbhd = extract_neighborhood(
         atlas_streamlines, center, sphere_radius,
-        rule=cfg.containment_rule, grid=atlas_grid, bundle_id=bundle_id,
+        rule=cfg.containment_rule, grid=atlas_grid,
     )
     subject_nbhd = extract_neighborhood(
         subject_streamlines, center, sphere_radius,
-        rule=cfg.containment_rule, grid=subject_grid, bundle_id=bundle_id,
+        rule=cfg.containment_rule, grid=subject_grid,
     )
     if len(subject_nbhd) == 0 or len(atlas_nbhd) == 0:
         return LocalRegistration(
@@ -327,10 +311,10 @@ def lsnr(
             absent=True,
         )
     atlas_centroids = cluster_centroids(
-        quickbundles(atlas_streamlines[atlas_nbhd.streamline_indices], cfg.qb_threshold_local_mm)
+        quickbundles(atlas_streamlines[atlas_nbhd], cfg.qb_threshold_local_mm)
     )
     subject_centroids = cluster_centroids(
-        quickbundles(subject_streamlines[subject_nbhd.streamline_indices], cfg.qb_threshold_local_mm)
+        quickbundles(subject_streamlines[subject_nbhd], cfg.qb_threshold_local_mm)
     )
     registration = sbr_rigid(subject_centroids, atlas_centroids, cfg)
     return LocalRegistration(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swmparc.atlas import (
     FEATURE_DOMAINS,
@@ -11,12 +13,14 @@ from swmparc.atlas import (
     build_bundle_model,
     compute_feature_samples,
     feature_interval,
+    feature_table,
     reference_streamline,
 )
 from swmparc.clustering import quickbundles
 from swmparc.config import FEATURE_NAMES
-from swmparc.distances import mmea
+from swmparc.distances import mmea, pairwise_mmea
 from swmparc.geometry import Bundle, arc_lengths, bundle_barycenter, midpoints
+from swmparc.parcellation import compute_features
 from swmparc.synth import ArcSpec, generate_bundle
 
 from conftest import random_streamlines
@@ -48,6 +52,61 @@ def test_feature_samples_match_hand_computation():
         others = [mmea(arr[i], arr[j]) for j in range(len(arr)) if j != i]
         assert samples["mmea_mm"][i] == pytest.approx(min(others), abs=1e-6)
         assert samples["mmea_mm"][i] > 0.0
+
+
+@st.composite
+def parity_bundles(draw):
+    """(bundle, collinear): a jittered arc bundle with some members replaced
+    by their straight chords, or (collinear) parallel straight segments
+    along x, whose reference is collinear."""
+    count = draw(st.integers(2, 16))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(seed)
+        lines = np.zeros((count, 21, 3))
+        for i, (start, length) in enumerate(zip(rng.uniform(-5.0, 5.0, count),
+                                                rng.uniform(20.0, 60.0, count))):
+            lines[i, :, 0] = np.linspace(start, start + length, 21)
+            lines[i, :, 1:] = rng.uniform(-2.0, 2.0, 2)
+        return Bundle("p", lines), True
+    spec = ArcSpec("p", (0.0, 0.0, 0.0), draw(st.floats(6.0, 15.0)),
+                   draw(st.floats(40.0, 300.0)),
+                   (draw(st.floats(0.0, 360.0)), draw(st.floats(0.0, 180.0))),
+                   draw(st.floats(0.0, 1.5)), count, seed)
+    lines = generate_bundle(spec).streamlines.copy()
+    for i in draw(st.sets(st.integers(0, count - 1))):
+        lines[i] = np.linspace(lines[i, 0], lines[i, -1], 21)
+    return Bundle("p", lines), False
+
+
+@settings(max_examples=60, deadline=None)
+@given(parity_bundles())
+def test_feature_samples_are_the_members_subject_side_rows(case):
+    """Atlas samples and subject candidates share feature conventions: the
+    members labeled as one batch against their own bundle's model give, bit
+    for bit, the samples once flagged rows are dropped; mmea is the
+    leave-one-out minimum instead of the distance to the model bundle."""
+    bundle, collinear = case
+    arr = bundle.streamlines
+    model = build_bundle_model(bundle)
+    assert model.reference_normal_degenerate or not collinear
+    samples = compute_feature_samples(bundle)
+    d = pairwise_mmea(arr, arr)
+    values, degenerate = feature_table(arr, d.min(axis=1), model)
+    for f in FEATURE_NAMES:
+        if f != "mmea_mm":
+            assert values[f][~degenerate[f]].tobytes() == samples[f].tobytes(), f
+    np.fill_diagonal(d, np.inf)
+    assert d.min(axis=1).tobytes() == samples["mmea_mm"].tobytes()
+    # one candidate at a time flags the same features, with values equal up
+    # to the last bits of a matrix product over one row instead of n (an
+    # arccos near 0 degrees turns one ulp of cosine into about 1e-6 degrees)
+    for row, line in enumerate(arr):
+        fv, flagged = compute_features(line, model)
+        assert flagged == tuple(f for f in FEATURE_NAMES if degenerate[f][row])
+        for f in FEATURE_NAMES:
+            if f not in flagged:
+                assert fv[f] == pytest.approx(values[f][row], rel=1e-12, abs=1e-5)
 
 
 def test_feature_samples_all_within_domains():
@@ -140,7 +199,7 @@ def test_bundle_retention_near_decile_expectation():
     sits near the 0.8 expectation of a q10-q90 interval."""
     bundle = arc_bundle(seed=3, count=50)
     model = build_bundle_model(bundle)
-    samples = compute_feature_samples(bundle, model.reference)
+    samples = compute_feature_samples(bundle, model)
     rates = []
     for f in FEATURE_NAMES:
         iv = model.thresholds[f]

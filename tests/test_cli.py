@@ -175,6 +175,21 @@ def test_exit_2_names_the_first_bad_streamline(work, tmp_path, capsys):
     assert not (tmp_path / "o").exists() and not (tmp_path / "a").exists()
 
 
+def test_exit_2_names_the_first_bad_streamline_with_an_affine(work, tmp_path, capsys):
+    # the --affine path reads, checks and resamples the subject as the plain one
+    subject = read_tck(work / "scene" / "subject.tck")
+    subject[17] = np.repeat(subject[17][:1], 4, axis=0)
+    path = tmp_path / "subject.tck"
+    write_tck(subject, path)
+    affine = tmp_path / "eye.txt"
+    np.savetxt(affine, np.eye(4))
+    capsys.readouterr()
+    assert main(["parcellate", "--atlas", str(work / "atlas"), "--subject", str(path),
+                 "--affine", str(affine), "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {path}: streamline 17: zero-length streamline" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_2_on_truth_length_mismatch(work, tmp_path):
     from swmparc.serialization import write_truth
     write_truth(["cli_a"] * 3, tmp_path / "short.json")

@@ -126,6 +126,17 @@ def test_constant_samples_fall_back():
     assert select_best(x) is None
 
 
+def test_rounding_spread_never_overflows_a_descent():
+    # eleven shape angles of 180 degrees (a bundle of straight lines) keep a
+    # log spread of rounding size, which sends the burr descent to logs past
+    # math.exp's range
+    x = np.full(11, 180.0)
+    assert float(np.std(np.log(x))) > 0.0
+    for family in FAMILIES:
+        fit_family(x, family)
+    assert select_best(x) is None
+
+
 def test_positive_families_shift_zero_containing_samples(rng):
     x = np.abs(rng.normal(0.0, 2.0, 500))
     x[0] = 0.0

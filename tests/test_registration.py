@@ -261,15 +261,14 @@ def test_lsnr_recovers_local_shift():
     out = lsnr(center, radius, arr, subject)
     assert not out.absent
     assert out.registration.converged
-    fixed = apply_rigid(out.registration.transform, subject[out.neighborhood.streamline_indices])
+    fixed = apply_rigid(out.registration.transform, subject[out.neighborhood])
     # neighborhood contains the whole moved bundle; registration undoes the move
     assert len(out.neighborhood) == len(arr)
     assert np.linalg.norm(fixed - arr, axis=2).mean() < 0.5
 
 
-def test_neighborhood_center_metadata():
+def test_neighborhood_is_an_ascending_index_array():
     lines = random_streamlines(np.random.default_rng(5), 10)
-    nb = extract_neighborhood(lines, [0.0, 0.0, 0.0], 100.0, bundle_id="x")
-    assert nb.bundle_id == "x"
-    assert nb.radius_mm == 100.0
-    assert len(nb) == 10
+    nb = extract_neighborhood(lines, [0.0, 0.0, 0.0], 100.0)
+    assert nb.dtype == np.int64
+    assert nb.tolist() == list(range(10))

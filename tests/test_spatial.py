@@ -28,7 +28,7 @@ def test_neighborhood_same_with_and_without_grid(rng):
             radius = rng.uniform(10.0, 40.0)
             a = extract_neighborhood(lines, center, radius, rule=rule)
             b = extract_neighborhood(lines, center, radius, rule=rule, grid=grid)
-            assert np.array_equal(a.streamline_indices, b.streamline_indices)
+            assert np.array_equal(a, b)
 
 
 def test_cell_size_never_changes_results(rng):
@@ -38,7 +38,7 @@ def test_cell_size_never_changes_results(rng):
     for cell in (3.0, 11.0, 50.0, 300.0):
         grid = StreamlineGrid(lines, cell_mm=cell)
         got = extract_neighborhood(lines, center, 25.0, grid=grid)
-        assert np.array_equal(got.streamline_indices, base.streamline_indices)
+        assert np.array_equal(got, base)
 
 
 def test_containment_rules_differ():

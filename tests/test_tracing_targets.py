@@ -2,7 +2,11 @@
 (`bench/tracing.py`); a renamed or removed name turns its per-layer metrics
 into null.  Here such a rename fails a test that names the span."""
 import importlib.util
+import json
 from pathlib import Path
+
+from swmparc.cli import main
+from swmparc.synth import random_scene_spec
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -20,3 +24,26 @@ def test_every_traced_name_exists():
         assert tracer.dead == set()
     finally:
         tracer.uninstall()
+
+
+def test_every_traced_span_is_entered(tmp_path):
+    # a wrapper that exists but is never called reads 0 s, not null; 12
+    # streamlines a bundle so fits (8 samples) reach `select_best`
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(random_scene_spec(3, 12).to_dict()))
+    tracing = load_tracing()
+    tracer = tracing.install(0)
+    try:
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "scene")]) == 0
+        assert main(["build-atlas", "--bundles", str(tmp_path / "scene" / "bundles"),
+                     "--out", str(tmp_path / "atlas")]) == 0
+        for workers in ("1", "2"):
+            assert main(["parcellate", "--atlas", str(tmp_path / "atlas"),
+                         "--subject", str(tmp_path / "scene" / "subject.tck"),
+                         "--out", str(tmp_path / f"result{workers}"), "--workers", workers]) == 0
+    finally:
+        tracer.uninstall()
+    # distances.bmd wraps an import of registration.py that nothing calls
+    never = {name for _, name, _, _ in tracing.TARGETS
+             if name != "distances.bmd" and tracer.count(name) == 0}
+    assert never == set()
