@@ -20,7 +20,7 @@ likelihoods take the sample sums they need once per fit, not per evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import betainc, betaln, gammainc, gammaln, ndtr, ndtri
@@ -326,8 +326,8 @@ def _fit_burr(x: np.ndarray) -> FittedDistribution | None:
             return math.inf
         z = logy - math.log(lam)
         val = (n * (math.log(c) + math.log(k) - math.log(lam))
-               + (c - 1.0) * z.sum()
-               - (k + 1.0) * np.logaddexp(0.0, c * z).sum())
+               + (c - 1.0) * np.add.reduce(z)
+               - (k + 1.0) * np.add.reduce(np.logaddexp(0.0, c * z)))
         return -val if math.isfinite(val) else math.inf
 
     t = _mle_descent(nll, np.log([c0, k0, lam0]))
@@ -347,21 +347,41 @@ def histogram_bins(n: int) -> int:
     return max(10, math.ceil(math.sqrt(n)))
 
 
-def sse_against_histogram(dist: FittedDistribution, samples: np.ndarray) -> float:
-    """Sum of squared differences between the empirical density histogram
-    (max(10, ceil(sqrt(n))) equal-width bins over [min, max]) and the fitted
-    pdf at bin centers.  +inf when the sample span is degenerate."""
+def empirical_histogram(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Density of max(10, ceil(sqrt(n))) equal-width bins over [min, max] and
+    the bin centers; None when the sample span is degenerate."""
     samples = np.asarray(samples, dtype=np.float64)
     lo, hi = float(samples.min()), float(samples.max())
     if hi - lo <= 1e-12:
-        return math.inf
+        return None
     bins = histogram_bins(len(samples))
     density, edges = np.histogram(samples, bins=bins, range=(lo, hi), density=True)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    return density, 0.5 * (edges[:-1] + edges[1:])
+
+
+def sse_against_histogram(dist: FittedDistribution, histogram) -> float:
+    """Sum of squared differences between an `empirical_histogram` and the
+    fitted pdf at its bin centers.  +inf when the histogram is None."""
+    if histogram is None:
+        return math.inf
+    density, centers = histogram
     pdf = dist.pdf(centers)
     if not np.all(np.isfinite(pdf)):
         return math.inf
     return float(np.sum((density - pdf) ** 2))
+
+
+def _scored_fits(samples, min_samples: int, families) -> list[FittedDistribution | None]:
+    """The fits of ``families``, each scored against the one histogram."""
+    x = np.asarray(samples, dtype=np.float64)
+    if len(x) < min_samples:
+        raise ValueError(f"need at least {min_samples} samples")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite")
+    histogram = empirical_histogram(x)
+    fits = [_FITTERS[family](x) for family in families]
+    return [None if fit is None else replace(fit, sse=sse_against_histogram(fit, histogram))
+            for fit in fits]
 
 
 def fit_family(samples, family: str, min_samples: int = 8) -> FittedDistribution | None:
@@ -369,20 +389,7 @@ def fit_family(samples, family: str, min_samples: int = 8) -> FittedDistribution
     (divergence or invalid parameters)."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family: {family}")
-    x = np.asarray(samples, dtype=np.float64)
-    if len(x) < min_samples:
-        raise ValueError(f"need at least {min_samples} samples")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("samples must be finite")
-    fit = _FITTERS[family](x)
-    if fit is None:
-        return None
-    sse = sse_against_histogram(fit, x)
-    return FittedDistribution(fit.family, fit.params, sse, shift=fit.shift, support=fit.support)
-
-
-def fit_all_families(samples, min_samples: int = 8) -> dict[str, FittedDistribution | None]:
-    return {family: fit_family(samples, family, min_samples) for family in FAMILIES}
+    return _scored_fits(samples, min_samples, (family,))[0]
 
 
 def select_best(samples, min_samples: int = 8) -> FittedDistribution | None:
@@ -392,14 +399,9 @@ def select_best(samples, min_samples: int = 8) -> FittedDistribution | None:
     Returns None when no family has a finite SSE; the caller then falls back
     to empirical thresholds.
     """
-    best: FittedDistribution | None = None
-    for family in FAMILIES:
-        fit = fit_family(samples, family, min_samples)
-        if fit is None or not math.isfinite(fit.sse):
-            continue
-        if best is None or fit.sse < best.sse:
-            best = fit
-    return best
+    fits = _scored_fits(samples, min_samples, FAMILIES)
+    return min((fit for fit in fits if fit is not None and math.isfinite(fit.sse)),
+               key=lambda fit: fit.sse, default=None)
 
 
 def pdf_integral(dist: FittedDistribution, points: int = 20001) -> float:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from swmparc.fitting import FAMILIES, fit_family
 from swmparc.geometry import bundle_barycenter, resample
 from swmparc.registration import RigidTransform, apply_rigid
 from swmparc.synth import ArcSpec, generate_bundle
@@ -17,6 +18,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def fit_all_families(samples, min_samples=8):
+    """Every family's fit of one sample set (None where it is unavailable):
+    the oracle that `select_best`'s choice is checked against."""
+    return {family: fit_family(samples, family, min_samples) for family in FAMILIES}
 
 
 def make_arc(radius=10.0, span_deg=180.0, k=21, center=(0.0, 0.0, 0.0)):

@@ -20,7 +20,6 @@ from swmparc.fitting import (
     FittedDistribution,
     _bisect_quantile,
     _burr_cdf,
-    fit_all_families,
     select_best,
 )
 from swmparc.geometry import (
@@ -55,8 +54,8 @@ from swmparc.synth import (
 )
 from swmparc.tckio import TrackFileError, read_tck, write_tck
 
-from conftest import (ACCEPTANCE_LINES, make_arc, random_streamlines, random_unit,
-                      registration_scenes)
+from conftest import (ACCEPTANCE_LINES, fit_all_families, make_arc, random_streamlines,
+                      random_unit, registration_scenes)
 
 
 def check(num: int, name: str, ok: bool, detail: str = "") -> None:
