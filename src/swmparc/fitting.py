@@ -10,12 +10,13 @@ Families and their parameters:
 
 Positive-support families are fit on y = x + shift with shift chosen so the
 samples are strictly positive; the shift is recorded in the fit and undone by
-pdf/cdf/quantile.  Normal and log-normal parameters are closed form; gamma,
-beta, and burr use a moment-initialized Nelder-Mead descent on the negative
-log-likelihood (at most 300 cost evaluations), which keeps every fit
-deterministic.  The descent is `optimize.nelder_mead`, the optimizer that
-rigid SBR uses too, started from scipy's default simplex; the gamma and beta
-likelihoods take the sample sums they need once per fit, not per evaluation.
+pdf/cdf/quantile.  Normal and log-normal parameters are closed form.  Gamma,
+beta and burr run a moment-initialized Nelder-Mead descent (at most 300 cost
+evaluations, so every fit is deterministic) on the negative log-likelihood,
+profiled for gamma and burr: over log shape with the scale's MLE mean(y) /
+shape, and over (log c, log lam) with k's MLE n / sum(log1p((y/lam)^c)).  The
+descent is `optimize.nelder_mead`, which rigid SBR uses too, from scipy's
+default simplex; the likelihoods take their parameter-free sample sums once.
 """
 from __future__ import annotations
 
@@ -246,26 +247,26 @@ def _fit_gamma(x: np.ndarray) -> FittedDistribution | None:
     var = float(np.var(y))
     if var <= 0.0 or mean <= 0.0:
         return None
-    shape0 = mean * mean / var
-    scale0 = var / mean
+    log_mean = math.log(mean)
     sum_logy = float(np.log(y).sum())
-    sum_y = float(y.sum())
     n = len(y)
 
     def nll(t):
+        # profiled over the scale: at shape a its MLE is mean / a, where the
+        # sum of y / scale is n * a
         try:
-            a, s = math.exp(t[0]), math.exp(t[1])
+            a = math.exp(t[0])
         except OverflowError:           # the descent may probe logs past 709
             return math.inf
-        if not (math.isfinite(a) and math.isfinite(s)) or a <= 0 or s <= 0:
+        if not math.isfinite(a) or a <= 0:
             return math.inf
-        return -((a - 1.0) * sum_logy - sum_y / s
-                 - n * (gammaln(a) + a * math.log(s)))
+        return -((a - 1.0) * sum_logy - n * a - n * (gammaln(a) + a * (log_mean - t[0])))
 
-    t = _mle_descent(nll, np.log([shape0, scale0]))
+    t = _mle_descent(nll, np.log([mean * mean / var]))
     if t is None:
         return None
-    a, s = math.exp(t[0]), max(math.exp(t[1]), SIGMA_FLOOR)
+    a = math.exp(t[0])
+    s = max(mean / a, SIGMA_FLOOR)
     if not _sane_params(a, s):
         return None
     return FittedDistribution("gamma", {"shape": a, "scale": s}, math.nan, shift=shift)
@@ -314,26 +315,34 @@ def _fit_burr(x: np.ndarray) -> FittedDistribution | None:
         return None
     lam0 = float(np.median(y))
     c0 = max(math.pi / (math.sqrt(3.0) * spread), 0.1)
-    k0 = 1.0
+    sum_logy = float(np.add.reduce(logy))
     n = len(y)
 
+    def log1p_sum(c, log_lam):
+        # sum of log1p((y / lam)^c), n over which is the MLE of k at (c, lam);
+        # a product past the float range makes it inf or 0, which nll rejects
+        with np.errstate(over="ignore"):
+            return float(np.add.reduce(np.logaddexp(0.0, c * (logy - log_lam))))
+
     def nll(t):
+        # at k's MLE, (k + 1) * log1p_sum is n + log1p_sum
         try:
-            c, k, lam = math.exp(t[0]), math.exp(t[1]), math.exp(t[2])
+            c = math.exp(t[0])
+            math.exp(t[1])              # so that the fit's lam exists
         except OverflowError:
             return math.inf
-        if not all(map(math.isfinite, (c, k, lam))):
+        total = log1p_sum(c, t[1])
+        if not (math.isfinite(c) and 0.0 < total < math.inf):
             return math.inf
-        z = logy - math.log(lam)
-        val = (n * (math.log(c) + math.log(k) - math.log(lam))
-               + (c - 1.0) * np.add.reduce(z)
-               - (k + 1.0) * np.add.reduce(np.logaddexp(0.0, c * z)))
+        val = (n * (math.log(c) + math.log(n / total) - t[1])
+               + (c - 1.0) * (sum_logy - n * t[1]) - total - n)
         return -val if math.isfinite(val) else math.inf
 
-    t = _mle_descent(nll, np.log([c0, k0, lam0]))
+    t = _mle_descent(nll, np.log([c0, lam0]))
     if t is None:
         return None
-    c, k, lam = math.exp(t[0]), math.exp(t[1]), max(math.exp(t[2]), SIGMA_FLOOR)
+    c, lam = math.exp(t[0]), max(math.exp(t[1]), SIGMA_FLOOR)
+    k = n / log1p_sum(c, t[1])
     if not _sane_params(c, k, lo=1e-3, hi=1e3) or not _sane_params(lam):
         return None
     return FittedDistribution("burr", {"c": c, "k": k, "lam": lam}, math.nan, shift=shift)

@@ -6,7 +6,7 @@ and shrink 0.5) operation for operation: the same vertex arithmetic, the same
 comparisons, the same `np.argsort` ordering of the costs (ties and NaN
 included) and the same budget check before every call.  A run therefore gives
 the same point, cost and evaluation count to the last bit.  The simplex is
-kept as lists of Python floats, which for the 2 to 6 parameters fit here costs
+kept as lists of Python floats, which for the 1 to 6 parameters fit here costs
 a fraction of scipy's per-iteration array bookkeeping and function wrapper.
 """
 from __future__ import annotations

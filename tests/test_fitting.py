@@ -18,6 +18,7 @@ from swmparc.fitting import (
     _bisect_quantile,
     _burr_cdf,
     _positive_shift,
+    _sane_params,
     empirical_histogram,
     fit_family,
     histogram_bins,
@@ -25,7 +26,7 @@ from swmparc.fitting import (
     select_best,
     sse_against_histogram,
 )
-from swmparc.optimize import default_simplex
+from swmparc.optimize import default_simplex, nelder_mead
 
 from conftest import fit_all_families
 
@@ -223,16 +224,18 @@ def scipy_descent(evaluated):
 
 
 def per_evaluation_nll(family, x):
-    """The gamma and beta likelihoods with the sample sums taken at every call."""
+    """The gamma likelihood profiled over the scale and the beta likelihood,
+    with the sample sums and the mean taken at every call."""
     if family == "gamma":
         y = x + _positive_shift(x)
         logy, n = np.log(y), len(y)
 
         def nll(t):
-            a, s = math.exp(t[0]), math.exp(t[1])
-            if not (math.isfinite(a) and math.isfinite(s)) or a <= 0 or s <= 0:
+            a = math.exp(t[0])
+            if not math.isfinite(a) or a <= 0:
                 return math.inf
-            return -((a - 1.0) * logy.sum() - y.sum() / s - n * (gammaln(a) + a * math.log(s)))
+            log_scale = math.log(y.mean()) - t[0]
+            return -((a - 1.0) * logy.sum() - n * a - n * (gammaln(a) + a * log_scale))
         return nll
     lo, hi = float(x.min()) - 1e-6, float(x.max()) + 1e-6
     u = (x - lo) / (hi - lo)
@@ -278,3 +281,73 @@ def test_fits_match_scipy_descent(family, monkeypatch):
                 assert evaluated
                 assert all(np.float64(cost).tobytes() == np.float64(nll(t)).tobytes()
                            for t, cost in evaluated)
+
+
+# ---------------------------------------------------------------------------
+# the profiled gamma and Burr fits against their full likelihoods
+
+def full_nll(family, y):
+    """The gamma (log shape, log scale) or Burr (log c, log k, log lam)
+    negative log-likelihood of the shifted samples ``y``, over every
+    parameter."""
+    logy, n = np.log(y), len(y)
+
+    def gamma(t):
+        a, s = np.exp(t)
+        return -((a - 1.0) * logy.sum() - y.sum() / s - n * (gammaln(a) + a * t[1]))
+
+    def burr(t):
+        c, k = np.exp(t[:2])
+        z = logy - t[2]
+        return -(n * (t[0] + t[1] - t[2]) + (c - 1.0) * z.sum()
+                 - (k + 1.0) * np.logaddexp(0.0, c * z).sum())
+
+    nll = gamma if family == "gamma" else burr
+
+    def finite(t):
+        with np.errstate(all="ignore"):
+            val = float(nll(np.asarray(t, dtype=np.float64)))
+        return val if math.isfinite(val) else math.inf
+    return finite
+
+
+def burr_3d_descent(x):
+    """The Burr fit as a descent over (log c, log k, log lam) from k = 1, as
+    the fit was before k was profiled out; None where its parameters fail
+    `_sane_params`."""
+    y = x + _positive_shift(x)
+    spread = float(np.std(np.log(y)))
+    c0 = max(math.pi / (math.sqrt(3.0) * spread), 0.1)
+    t, fun, _ = nelder_mead(full_nll("burr", y), default_simplex(np.log([c0, 1.0, np.median(y)])),
+                            300, 1e-8, 1e-8)
+    c, k, lam = np.exp(t)
+    if not math.isfinite(fun) or not (_sane_params(c, k, lo=1e-3, hi=1e3) and _sane_params(lam)):
+        return None
+    return t
+
+
+PARAMS = {"gamma": ("shape", "scale"), "burr": ("c", "k", "lam")}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_profiled_fits_are_optima_of_the_full_likelihood(family):
+    compared = {"gamma": 0, "burr": 0}
+    for case in range(12):
+        samples = draw_samples(family, [8, 9, 30, 200][case % 4], seed=1000 * case + 7)
+        y = samples + _positive_shift(samples)
+        for fitted, names in PARAMS.items():
+            fit = fit_family(samples, fitted)
+            if fit is None:
+                continue
+            nll = full_nll(fitted, y)
+            t = np.log([fit.params[name] for name in names])
+            here = nll(t)
+            tolerance = 1e-6 * max(1.0, abs(here))
+            res = minimize(nll, t, method="Nelder-Mead",
+                           options={"maxfev": 2000, "xatol": 1e-10, "fatol": 1e-12})
+            assert res.fun >= here - tolerance, (fitted, case, res.fun, here)
+            compared[fitted] += 1
+            if fitted == "burr":
+                oracle = burr_3d_descent(samples)
+                assert oracle is None or here <= nll(oracle) + tolerance, (case, nll(oracle), here)
+    assert min(compared.values()) > 0, compared
