@@ -34,13 +34,9 @@ def default_simplex(x0) -> list[list[float]]:
 
 
 def _sort(sim: list, fsim: list) -> tuple[list, list]:
-    # distinct costs, none NaN, have one order, which Python sorts faster; else
-    # np.argsort on a float64 array as scipy: the sort may be an unstable SIMD
-    # one, and ties (0.0 and -0.0 among them) must come out in scipy's order
-    if len(set(fsim)) == len(fsim) and all(v == v for v in fsim):
-        order = sorted(range(len(fsim)), key=fsim.__getitem__)
-    else:
-        order = np.array(fsim).argsort().tolist()
+    # np.argsort on a float64 array, as scipy orders them: the sort may be an
+    # unstable SIMD one, and tied costs must come out in scipy's order
+    order = np.array(fsim).argsort().tolist()
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 

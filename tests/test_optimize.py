@@ -135,51 +135,3 @@ def test_nan_costs_never_stop_the_run():
 def test_rejects_a_malformed_simplex():
     with pytest.raises(ValueError):
         nelder_mead(lambda x: 0.0, [[0.0, 0.0], [1.0, 0.0]], 10, 0.0, 0.0)
-
-
-def logged(cost):
-    """An objective that returns ``cost(x)`` and logs its calls as
-    `make_objective`'s does."""
-    def f(x):
-        f.calls.append(np.asarray(x, dtype=np.float64).tobytes())
-        return cost([float(v) for v in x])
-    f.calls = []
-    return f
-
-
-def signed_zero_bowl(x):
-    # a quadratic outside the unit ball, and inside it 0.0 or -0.0, which
-    # compare equal: a descent into the ball ties every vertex at zero
-    q = sum(v * v for v in x)
-    if q > 1.0:
-        return q - 1.0
-    return -0.0 if x[0] < x[-1] else 0.0
-
-
-def walled_bowl(wall):
-    # a quadratic about 0.2 that is ``wall`` (inf or NaN) where a coordinate
-    # leaves [-0.5, 0.5]; each NaN is a new object, as a computed one is, so
-    # a set of them does not merge them
-    def cost(x):
-        q = sum((v - 0.2) * (v - 0.2) for v in x)
-        return wall * q if any(abs(v) > 0.5 for v in x) else q
-    return cost
-
-
-# seven vertices, six of them behind the wall and listed first: np.argsort
-# need not keep the order of tied costs, and puts NaN last
-AXES = [[1.0 if i == k else 0.0 for i in range(6)] for k in range(6)] + [[0.0] * 6]
-TIED_COSTS = {
-    "signed zero": (signed_zero_bowl, default_simplex([2.0, 3.0, -1.0, 0.5, 1.0, -2.0])),
-    "inf": (walled_bowl(math.inf), AXES),
-    "NaN": (walled_bowl(math.nan), AXES),
-}
-
-
-@pytest.mark.parametrize("maxfev", [7, 8, 20, 60, 300])
-@pytest.mark.parametrize("case", TIED_COSTS)
-def test_tied_costs_order_as_scipy(case, maxfev):
-    # costs that tie (0.0 and -0.0, inf) or are NaN take np.argsort's order,
-    # not a Python sort's
-    cost, simplex = TIED_COSTS[case]
-    assert same_calls(logged(cost), simplex, maxfev, 0.0, 0.0)
