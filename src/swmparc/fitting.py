@@ -10,13 +10,18 @@ Families and their parameters:
 
 Positive-support families are fit on y = x + shift with shift chosen so the
 samples are strictly positive; the shift is recorded in the fit and undone by
-pdf/cdf/quantile.  Normal and log-normal parameters are closed form.  Gamma,
-beta and burr run a moment-initialized Nelder-Mead descent (at most 300 cost
-evaluations, so every fit is deterministic) on the negative log-likelihood,
-profiled for gamma and burr: over log shape with the scale's MLE mean(y) /
-shape, and over (log c, log lam) with k's MLE n / sum(log1p((y/lam)^c)).  The
-descent is `optimize.nelder_mead`, which rigid SBR uses too, from scipy's
-default simplex; the likelihoods take their parameter-free sample sums once.
+pdf/cdf/quantile.  All fits maximize the likelihood.  Normal and log-normal
+are closed form.  Gamma and beta solve their likelihood equations by Newton's
+method (T. Minka, "Estimating a Gamma distribution", 2002, and "Estimating a
+Dirichlet distribution", 2000): gamma's shape is the root of
+log a - digamma(a) = log mean(y) - mean(log y), its scale mean(y) / a; beta's
+(alpha, beta) are where the digamma differences equal mean log u and
+mean log(1 - u).  Each solve stops at a 1e-12 relative step or after
+_NEWTON_MAX_ITER steps.  Burr runs a moment-initialized Nelder-Mead descent
+(`optimize.nelder_mead`, which rigid SBR uses too, from scipy's default
+simplex, at most 300 cost evaluations, so every fit is deterministic) over
+(log c, log lam), with k at its MLE n / sum(log1p((y/lam)^c)); the descent
+ends with no fit at the first point outside the box `_sane_params` accepts.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import betainc, betaln, gammainc, gammaln, ndtr, ndtri
+from scipy.special import betainc, betaln, digamma, gammainc, gammaln, ndtr, ndtri, zeta
 
 from .optimize import default_simplex, nelder_mead
 
@@ -33,6 +38,8 @@ FAMILIES = ("normal", "log-normal", "gamma", "beta", "burr")
 SIGMA_FLOOR = 1e-6
 POSITIVE_SHIFT = 1e-6
 _MLE_MAX_EVALS = 300
+_NEWTON_MAX_ITER = 50
+_NEWTON_RTOL = 1e-12
 _BISECT_TOL = 1e-8
 
 
@@ -219,13 +226,6 @@ def _sane_params(*values, lo: float = 1e-6, hi: float = 1e6) -> bool:
     return all(math.isfinite(v) and lo <= v <= hi for v in values)
 
 
-def _mle_descent(nll, x0: np.ndarray) -> np.ndarray | None:
-    x, fun, _ = nelder_mead(nll, default_simplex(x0), _MLE_MAX_EVALS, xatol=1e-8, fatol=1e-8)
-    if not math.isfinite(fun):
-        return None
-    return x
-
-
 def _fit_normal(x: np.ndarray) -> FittedDistribution:
     mu = float(np.mean(x))
     sigma = max(float(np.std(x)), SIGMA_FLOOR)
@@ -244,32 +244,32 @@ def _fit_gamma(x: np.ndarray) -> FittedDistribution | None:
     shift = _positive_shift(x)
     y = x + shift
     mean = float(np.mean(y))
-    var = float(np.var(y))
-    if var <= 0.0 or mean <= 0.0:
+    # at the scale's MLE mean / a the likelihood is stationary where
+    # log a - digamma(a) = log mean(y) - mean(log y); the right side is 0 but
+    # for rounding when the samples are equal
+    target = math.log(mean) - float(np.mean(np.log(y)))
+    if not target > 0.0:
         return None
-    log_mean = math.log(mean)
-    sum_logy = float(np.log(y).sum())
-    n = len(y)
-
-    def nll(t):
-        # profiled over the scale: at shape a its MLE is mean / a, where the
-        # sum of y / scale is n * a
-        try:
-            a = math.exp(t[0])
-        except OverflowError:           # the descent may probe logs past 709
-            return math.inf
-        if not math.isfinite(a) or a <= 0:
-            return math.inf
-        return -((a - 1.0) * sum_logy - n * a - n * (gammaln(a) + a * (log_mean - t[0])))
-
-    t = _mle_descent(nll, np.log([mean * mean / var]))
-    if t is None:
+    # Minka's closed-form start and generalized Newton step on 1 / a.  A shape
+    # past the sane range is rejected anyway, and its step's denominator
+    # rounds to 0; past a few hundred the step stalls at the rounding of
+    # log a - digamma(a), so a step no smaller than the last ends the solve
+    a = (3.0 - target + math.sqrt((target - 3.0) ** 2 + 24.0 * target)) / (12.0 * target)
+    last = math.inf
+    for _ in range(_NEWTON_MAX_ITER):
+        if not _sane_params(a):
+            return None
+        gap = math.log(a) - float(digamma(a)) - target
+        new = 1.0 / (1.0 / a + gap / (a * a * (1.0 / a - float(zeta(2.0, a)))))
+        step = abs(new - a)
+        a = new
+        if step <= _NEWTON_RTOL * a or step >= last:
+            break
+        last = step
+    scale = max(mean / a, SIGMA_FLOOR)
+    if not _sane_params(a, scale):
         return None
-    a = math.exp(t[0])
-    s = max(mean / a, SIGMA_FLOOR)
-    if not _sane_params(a, s):
-        return None
-    return FittedDistribution("gamma", {"shape": a, "scale": s}, math.nan, shift=shift)
+    return FittedDistribution("gamma", {"shape": a, "scale": scale}, math.nan, shift=shift)
 
 
 def _fit_beta(x: np.ndarray) -> FittedDistribution | None:
@@ -282,28 +282,57 @@ def _fit_beta(x: np.ndarray) -> FittedDistribution | None:
     if v <= 0.0:
         return None
     common = max(m * (1.0 - m) / v - 1.0, 1e-3)
-    a0 = max(m * common, 1e-3)
-    b0 = max((1.0 - m) * common, 1e-3)
-    sum_logu = float(np.log(u).sum())
-    sum_log1mu = float(np.log1p(-u).sum())
-    n = len(u)
+    a = max(m * common, 1e-3)
+    b = max((1.0 - m) * common, 1e-3)
+    mean_logu = float(np.mean(np.log(u)))
+    mean_log1mu = float(np.mean(np.log1p(-u)))
 
-    def nll(t):
-        try:
-            a, b = math.exp(t[0]), math.exp(t[1])
-        except OverflowError:
-            return math.inf
-        if not (math.isfinite(a) and math.isfinite(b)):
-            return math.inf
-        return -((a - 1.0) * sum_logu + (b - 1.0) * sum_log1mu - n * betaln(a, b))
+    def nll(a, b):
+        # per sample; convex in (a, b)
+        return float((1.0 - a) * mean_logu + (1.0 - b) * mean_log1mu + betaln(a, b))
 
-    t = _mle_descent(nll, np.log([a0, b0]))
-    if t is None:
+    # Newton on the gradient digamma(a) - digamma(a + b) - mean log u,
+    # digamma(b) - digamma(a + b) - mean log(1 - u), with the trigamma
+    # (zeta(2, .)) Hessian; a step is halved until both parameters stay
+    # positive and the likelihood does not fall
+    f = nll(a, b)
+    if not math.isfinite(f):            # a sample at an end of the support
         return None
-    a, b = math.exp(t[0]), math.exp(t[1])
+    for _ in range(_NEWTON_MAX_ITER):
+        params = np.array([a, b, a + b])
+        psi_a, psi_b, psi_ab = digamma(params).tolist()
+        tri_a, tri_b, tri_ab = zeta(2.0, params).tolist()
+        ga = psi_a - psi_ab - mean_logu
+        gb = psi_b - psi_ab - mean_log1mu
+        haa, hbb = tri_a - tri_ab, tri_b - tri_ab
+        det = haa * hbb - tri_ab * tri_ab
+        if not 0.0 < det < math.inf:
+            return None
+        da = -(hbb * ga + tri_ab * gb) / det
+        db = -(haa * gb + tri_ab * ga) / det
+        if abs(da) <= _NEWTON_RTOL * a and abs(db) <= _NEWTON_RTOL * b:
+            a, b = a + da, b + db
+            break
+        for _ in range(64):             # past that the step is below rounding
+            na, nb = a + da, b + db
+            if na > 0.0 and nb > 0.0:
+                nf = nll(na, nb)
+                if nf <= f:
+                    break
+            da, db = 0.5 * da, 0.5 * db
+        else:
+            break
+        done = abs(na - a) <= _NEWTON_RTOL * na and abs(nb - b) <= _NEWTON_RTOL * nb
+        a, b, f = na, nb, nf
+        if done:
+            break
     if not _sane_params(a, b):
         return None
     return FittedDistribution("beta", {"alpha": a, "beta": b}, math.nan, support=(lo, hi))
+
+
+class _LeftTheBox(Exception):
+    """A Burr descent reached a (c, lam) that `_sane_params` rejects."""
 
 
 def _fit_burr(x: np.ndarray) -> FittedDistribution | None:
@@ -321,29 +350,38 @@ def _fit_burr(x: np.ndarray) -> FittedDistribution | None:
     def log1p_sum(c, log_lam):
         # sum of log1p((y / lam)^c), n over which is the MLE of k at (c, lam);
         # a product past the float range makes it inf or 0, which nll rejects
-        with np.errstate(over="ignore"):
-            return float(np.add.reduce(np.logaddexp(0.0, c * (logy - log_lam))))
+        return float(np.add.reduce(np.logaddexp(0.0, c * (logy - log_lam))))
 
     def nll(t):
-        # at k's MLE, (k + 1) * log1p_sum is n + log1p_sum
+        # a descent that reaches a (c, lam) the final check rejects ends there
         try:
             c = math.exp(t[0])
-            math.exp(t[1])              # so that the fit's lam exists
+            lam = math.exp(t[1])
         except OverflowError:
-            return math.inf
+            raise _LeftTheBox from None
+        if not (1e-3 <= c <= 1e3 and lam <= 1e6):
+            raise _LeftTheBox
+        # at k's MLE, (k + 1) * log1p_sum is n + log1p_sum
         total = log1p_sum(c, t[1])
-        if not (math.isfinite(c) and 0.0 < total < math.inf):
+        if not 0.0 < total < math.inf:
             return math.inf
         val = (n * (math.log(c) + math.log(n / total) - t[1])
                + (c - 1.0) * (sum_logy - n * t[1]) - total - n)
         return -val if math.isfinite(val) else math.inf
 
-    t = _mle_descent(nll, np.log([c0, lam0]))
-    if t is None:
-        return None
-    c, lam = math.exp(t[0]), max(math.exp(t[1]), SIGMA_FLOOR)
-    k = n / log1p_sum(c, t[1])
-    if not _sane_params(c, k, lo=1e-3, hi=1e3) or not _sane_params(lam):
+    # the products past the float range are expected: they come out inf
+    with np.errstate(over="ignore"):
+        try:
+            t, fun, _ = nelder_mead(nll, default_simplex(np.log([c0, lam0])), _MLE_MAX_EVALS,
+                                    xatol=1e-8, fatol=1e-8)
+        except _LeftTheBox:
+            return None
+        if not math.isfinite(fun):
+            return None
+        c, lam = math.exp(t[0]), max(math.exp(t[1]), SIGMA_FLOOR)
+        k = n / log1p_sum(c, t[1])
+    # c and lam passed the box at every evaluated point
+    if not _sane_params(k, lo=1e-3, hi=1e3):
         return None
     return FittedDistribution("burr", {"c": c, "k": k, "lam": lam}, math.nan, shift=shift)
 
@@ -380,17 +418,17 @@ def sse_against_histogram(dist: FittedDistribution, histogram) -> float:
     return float(np.sum((density - pdf) ** 2))
 
 
-def _scored_fits(samples, min_samples: int, families) -> list[FittedDistribution | None]:
-    """The fits of ``families``, each scored against the one histogram."""
+def _validated(samples, min_samples: int) -> np.ndarray:
     x = np.asarray(samples, dtype=np.float64)
     if len(x) < min_samples:
         raise ValueError(f"need at least {min_samples} samples")
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")
-    histogram = empirical_histogram(x)
-    fits = [_FITTERS[family](x) for family in families]
-    return [None if fit is None else replace(fit, sse=sse_against_histogram(fit, histogram))
-            for fit in fits]
+    return x
+
+
+def _scored(fit: FittedDistribution | None, histogram) -> FittedDistribution | None:
+    return None if fit is None else replace(fit, sse=sse_against_histogram(fit, histogram))
 
 
 def fit_family(samples, family: str, min_samples: int = 8) -> FittedDistribution | None:
@@ -398,27 +436,22 @@ def fit_family(samples, family: str, min_samples: int = 8) -> FittedDistribution
     (divergence or invalid parameters)."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family: {family}")
-    return _scored_fits(samples, min_samples, (family,))[0]
+    x = _validated(samples, min_samples)
+    return _scored(_FITTERS[family](x), empirical_histogram(x))
 
 
 def select_best(samples, min_samples: int = 8) -> FittedDistribution | None:
     """Fit all five families, return the one with smallest histogram SSE.
 
     Ties break by family order (normal < log-normal < gamma < beta < burr).
-    Returns None when no family has a finite SSE; the caller then falls back
-    to empirical thresholds.
+    Returns None when no family has a finite SSE, without fitting any when
+    the samples span no histogram; the caller then falls back to empirical
+    thresholds.
     """
-    fits = _scored_fits(samples, min_samples, FAMILIES)
+    x = _validated(samples, min_samples)
+    histogram = empirical_histogram(x)
+    if histogram is None:
+        return None
+    fits = (_scored(_FITTERS[family](x), histogram) for family in FAMILIES)
     return min((fit for fit in fits if fit is not None and math.isfinite(fit.sse)),
                key=lambda fit: fit.sse, default=None)
-
-
-def pdf_integral(dist: FittedDistribution, points: int = 20001) -> float:
-    """Numeric integral of the pdf over (effectively) its support; ~1 for a
-    valid fit.  Used by validity checks and tests."""
-    lo = dist.quantile(1e-7)
-    hi = dist.quantile(1.0 - 1e-7)
-    if dist.support is not None:
-        lo, hi = dist.support[0] - dist.shift, dist.support[1] - dist.shift
-    x = np.linspace(lo, hi, points)
-    return float(np.trapezoid(dist.pdf(x), x))

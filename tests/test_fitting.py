@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.special import betaln, gammaln
+from scipy.special import betaln, digamma, gammaln
 
 import swmparc.fitting as fitting
 from swmparc.fitting import (
@@ -22,7 +22,6 @@ from swmparc.fitting import (
     empirical_histogram,
     fit_family,
     histogram_bins,
-    pdf_integral,
     select_best,
     sse_against_histogram,
 )
@@ -83,6 +82,14 @@ def test_burr_closed_form_matches_bisection():
         assert abs(closed - bisected) < 1e-6
 
 
+def pdf_integral(dist, points=20001):
+    """Trapezoid sum of the pdf over (effectively) its support."""
+    lo, hi = dist.quantile(1e-7), dist.quantile(1.0 - 1e-7)
+    x = np.linspace(lo, hi, points)
+    pdf = dist.pdf(x)
+    return float(np.sum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(x)))
+
+
 def test_pdf_integrates_to_one():
     for family, params in FIXED.items():
         dist = FittedDistribution(family, params, sse=0.0)
@@ -138,6 +145,17 @@ def test_rounding_spread_never_overflows_a_descent():
     for family in FAMILIES:
         fit_family(x, family)
     assert select_best(x) is None
+
+
+def test_select_best_fits_nothing_without_a_histogram(monkeypatch):
+    calls = []
+    counted = {family: (lambda x, fit=fit: calls.append(1) or fit(x))
+               for family, fit in fitting._FITTERS.items()}
+    monkeypatch.setattr(fitting, "_FITTERS", counted)
+    assert select_best(np.full(11, 180.0)) is None
+    assert calls == []
+    assert select_best(np.random.default_rng(0).normal(5.0, 1.0, 50)) is not None
+    assert len(calls) == len(FAMILIES)
 
 
 def test_positive_families_shift_zero_containing_samples(rng):
@@ -202,11 +220,11 @@ def test_sse_uses_given_samples(rng):
 
 
 # ---------------------------------------------------------------------------
-# the fits with scipy's Nelder-Mead in place of `optimize.nelder_mead`
+# the Burr fit with scipy's Nelder-Mead in place of `optimize.nelder_mead`
 
 def scipy_descent(evaluated):
     """Stand-in for `nelder_mead` that runs scipy from its default simplex
-    with the budget and tolerances the fits used before, and logs every
+    with the budget and tolerances of the Burr fit, and logs every
     (point, cost) in ``evaluated``."""
     def descent(f, simplex, maxfev, xatol, fatol):
         x0 = np.asarray(simplex[0], dtype=np.float64)
@@ -221,32 +239,6 @@ def scipy_descent(evaluated):
                        options={"maxfev": 300, "xatol": 1e-8, "fatol": 1e-8})
         return res.x, res.fun, res.nfev
     return descent
-
-
-def per_evaluation_nll(family, x):
-    """The gamma likelihood profiled over the scale and the beta likelihood,
-    with the sample sums and the mean taken at every call."""
-    if family == "gamma":
-        y = x + _positive_shift(x)
-        logy, n = np.log(y), len(y)
-
-        def nll(t):
-            a = math.exp(t[0])
-            if not math.isfinite(a) or a <= 0:
-                return math.inf
-            log_scale = math.log(y.mean()) - t[0]
-            return -((a - 1.0) * logy.sum() - n * a - n * (gammaln(a) + a * log_scale))
-        return nll
-    lo, hi = float(x.min()) - 1e-6, float(x.max()) + 1e-6
-    u = (x - lo) / (hi - lo)
-    logu, log1mu, n = np.log(u), np.log1p(-u), len(u)
-
-    def nll(t):
-        a, b = math.exp(t[0]), math.exp(t[1])
-        if not (math.isfinite(a) and math.isfinite(b)):
-            return math.inf
-        return -((a - 1.0) * logu.sum() + (b - 1.0) * log1mu.sum() - n * betaln(a, b))
-    return nll
 
 
 def draw_samples(family, n, seed):
@@ -274,27 +266,26 @@ def test_fits_match_scipy_descent(family, monkeypatch):
             m.setattr(fitting, "nelder_mead", scipy_descent(evaluated))
             assert select_best(samples) == ours_best
             assert fit_all_families(samples) == ours_all
-            for checked in ("gamma", "beta"):
-                evaluated.clear()
-                fit_family(samples, checked)
-                nll = per_evaluation_nll(checked, samples)
-                assert evaluated
-                assert all(np.float64(cost).tobytes() == np.float64(nll(t)).tobytes()
-                           for t, cost in evaluated)
+        assert evaluated
 
 
 # ---------------------------------------------------------------------------
-# the profiled gamma and Burr fits against their full likelihoods
+# the gamma, beta and Burr fits against their full likelihoods
 
 def full_nll(family, y):
-    """The gamma (log shape, log scale) or Burr (log c, log k, log lam)
-    negative log-likelihood of the shifted samples ``y``, over every
-    parameter."""
+    """The gamma (log shape, log scale), beta (log alpha, log beta) or Burr
+    (log c, log k, log lam) negative log-likelihood of ``y``, over every
+    parameter: the shifted samples, or for beta the samples mapped to (0, 1)
+    by the fit's support."""
     logy, n = np.log(y), len(y)
 
     def gamma(t):
         a, s = np.exp(t)
         return -((a - 1.0) * logy.sum() - y.sum() / s - n * (gammaln(a) + a * t[1]))
+
+    def beta(t):
+        a, b = np.exp(t)
+        return -((a - 1.0) * logy.sum() + (b - 1.0) * np.log1p(-y).sum() - n * betaln(a, b))
 
     def burr(t):
         c, k = np.exp(t[:2])
@@ -302,7 +293,7 @@ def full_nll(family, y):
         return -(n * (t[0] + t[1] - t[2]) + (c - 1.0) * z.sum()
                  - (k + 1.0) * np.logaddexp(0.0, c * z).sum())
 
-    nll = gamma if family == "gamma" else burr
+    nll = {"gamma": gamma, "beta": beta, "burr": burr}[family]
 
     def finite(t):
         with np.errstate(all="ignore"):
@@ -326,19 +317,23 @@ def burr_3d_descent(x):
     return t
 
 
-PARAMS = {"gamma": ("shape", "scale"), "burr": ("c", "k", "lam")}
+PARAMS = {"gamma": ("shape", "scale"), "beta": ("alpha", "beta"), "burr": ("c", "k", "lam")}
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_profiled_fits_are_optima_of_the_full_likelihood(family):
-    compared = {"gamma": 0, "burr": 0}
+    compared = dict.fromkeys(PARAMS, 0)
     for case in range(12):
         samples = draw_samples(family, [8, 9, 30, 200][case % 4], seed=1000 * case + 7)
-        y = samples + _positive_shift(samples)
         for fitted, names in PARAMS.items():
             fit = fit_family(samples, fitted)
             if fit is None:
                 continue
+            if fitted == "beta":
+                lo, hi = fit.support
+                y = (samples - lo) / (hi - lo)
+            else:
+                y = samples + fit.shift
             nll = full_nll(fitted, y)
             t = np.log([fit.params[name] for name in names])
             here = nll(t)
@@ -351,3 +346,53 @@ def test_profiled_fits_are_optima_of_the_full_likelihood(family):
                 oracle = burr_3d_descent(samples)
                 assert oracle is None or here <= nll(oracle) + tolerance, (case, nll(oracle), here)
     assert min(compared.values()) > 0, compared
+
+
+# ---------------------------------------------------------------------------
+# the Newton solves and the Burr descent at their limits
+
+DEGENERATE = {
+    "rounding spread": np.full(11, 180.0),
+    "near constant": 100.0 + 1e-7 * np.random.default_rng(3).standard_normal(8),
+    "piled at one end": 10.0 + 40.0 * np.random.default_rng(4).beta(0.05, 3.0, 30),
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_newton_solves_end_within_their_cap_on_degenerate_sets(name, monkeypatch):
+    steps = []
+    monkeypatch.setattr(fitting, "digamma", lambda v: steps.append(1) or digamma(v))
+    for family in ("gamma", "beta"):
+        steps.clear()
+        fit = fit_family(DEGENERATE[name], family)
+        assert len(steps) <= fitting._NEWTON_MAX_ITER
+        assert fit is None or _sane_params(*fit.params.values())
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_newton_solves_converge_before_their_cap(family, monkeypatch):
+    steps = []
+    monkeypatch.setattr(fitting, "digamma", lambda v: steps.append(1) or digamma(v))
+    for case in range(12):
+        samples = draw_samples(family, [8, 9, 30, 200][case % 4], seed=1000 * case + 7)
+        for fitted in ("gamma", "beta"):
+            steps.clear()
+            fit_family(samples, fitted)
+            assert 0 < len(steps) < fitting._NEWTON_MAX_ITER // 2, (fitted, case, len(steps))
+
+
+def test_burr_descent_that_leaves_the_sane_box_ends_without_a_fit(monkeypatch):
+    # a Pareto sample's likelihood grows without bound as c goes to infinity
+    # with lam at the smallest sample
+    x = 3.0 * (1.0 + np.random.default_rng(0).pareto(1.5, 30))
+    evaluated = []
+
+    def logged(f, simplex, maxfev, xatol, fatol):
+        return nelder_mead(lambda t: evaluated.append(np.exp(t)) or f(t), simplex, maxfev, xatol, fatol)
+
+    monkeypatch.setattr(fitting, "nelder_mead", logged)
+    assert fit_family(x, "burr") is None
+    assert len(evaluated) < 300
+    (c, lam), inside = evaluated[-1], evaluated[:-1]
+    assert not (1e-3 <= c <= 1e3 and lam <= 1e6)
+    assert all(1e-3 <= c <= 1e3 and lam <= 1e6 for c, lam in inside)
