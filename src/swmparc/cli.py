@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .serialization import (
     read_atlas,
     read_result,
     read_truth,
-    result_config_dict,
     write_atlas,
     write_result,
     write_truth,
@@ -51,18 +51,8 @@ def _load_config(path: str | None, args) -> RunConfig:
             cfg = RunConfig.load(path)
         except (OSError, ValueError, json.JSONDecodeError) as e:
             raise CliInputError(f"bad config file {path}: {e}") from e
-    overrides = {}
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
     if getattr(args, "winner_take_all", False):
-        overrides["winner_take_all"] = True
-    if overrides:
-        d = cfg.to_dict()
-        d.update(overrides)
-        try:
-            cfg = RunConfig.from_dict(d)
-        except ValueError as e:
-            raise CliInputError(f"bad option: {e}") from e
+        cfg = replace(cfg, winner_take_all=True)
     return cfg
 
 
@@ -80,12 +70,6 @@ def _load_subject(path: str, k: int, affine: np.ndarray | None = None) -> np.nda
         return resample_all(raw, k)
     except ValueError as e:
         raise CliInputError(f"{path}: {e}") from e
-
-
-def _echo_config(cfg: RunConfig, directory: str) -> None:
-    with open(os.path.join(directory, "run_config.json"), "w", encoding="ascii") as fh:
-        json.dump(result_config_dict(cfg), fh, indent=2)
-        fh.write("\n")
 
 
 def cmd_synth(args) -> int:
@@ -139,7 +123,7 @@ def cmd_build_atlas(args) -> int:
         min_fit_samples=cfg.min_fit_samples,
     )
     write_atlas(atlas, args.out)
-    _echo_config(cfg, args.out)
+    cfg.save(os.path.join(args.out, "run_config.json"))
     for model in atlas.bundles:
         fitted = ", ".join(
             f"{f.split('_')[0]}={model.fits[f].family if model.fits[f] else model.thresholds[f].source}"
@@ -150,6 +134,10 @@ def cmd_build_atlas(args) -> int:
 
 
 def cmd_parcellate(args) -> int:
+    if args.workers is not None:
+        if args.workers < 0:
+            raise CliInputError("--workers must be an integer >= 0")
+        _say(f"--workers {args.workers} is ignored: bundles run one at a time")
     cfg = _load_config(args.config, args)
     try:
         atlas = read_atlas(args.atlas)
@@ -163,10 +151,10 @@ def cmd_parcellate(args) -> int:
             raise CliInputError(str(e)) from e
     subject = _load_subject(args.subject, atlas.resample_k, affine)
     _say(f"parcellating {len(subject)} streamlines against "
-         f"{len(atlas.bundles)} bundles (workers={cfg.workers or 'auto'})")
+         f"{len(atlas.bundles)} bundles")
     result = parcellate(atlas, subject, cfg)
     write_result(result, args.out, subject_streamlines=subject)
-    _echo_config(cfg, args.out)
+    cfg.save(os.path.join(args.out, "run_config.json"))
     recognized = sum(1 for b in result.bundles if b.status == "recognized")
     sizes = result.global_centroids
     _say(f"global registration: cost {result.global_registration.initial_cost_mm:.3f} -> "
@@ -295,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--affine", default=None, help="4x4 prealignment matrix (text)")
     p.add_argument("--out", required=True, help="result output directory")
     p.add_argument("--config", default=None, help="RunConfig JSON")
-    p.add_argument("--workers", type=int, default=None, help="bundle worker count (0 = auto)")
+    p.add_argument("--workers", type=int, default=None,
+                   help="ignored, kept for old command lines: bundles run one at a time")
     p.add_argument("--winner-take-all", action="store_true",
                    help="assign multiply-accepted streamlines to the closest bundle")
     p.set_defaults(func=cmd_parcellate)

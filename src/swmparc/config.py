@@ -36,7 +36,6 @@ class RunConfig:
     threshold_source: str = "fitted"       # "fitted" | "empirical" deciles
     features: tuple[str, ...] = FEATURE_NAMES
     winner_take_all: bool = False
-    workers: int = 0                       # 0 = available parallelism
     grid_cell_mm: float = 20.0
     max_cost_evaluations: int = 500        # per rigid registration
     cost_tolerance_mm: float = 1e-3
@@ -44,8 +43,7 @@ class RunConfig:
     min_fit_samples: int = 8
 
     def __post_init__(self):
-        for name, least in (("resample_k", 3), ("workers", 0), ("max_cost_evaluations", 1),
-                            ("min_fit_samples", 2)):
+        for name, least in (("resample_k", 3), ("max_cost_evaluations", 1), ("min_fit_samples", 2)):
             value = getattr(self, name)
             if not (_is_number(value, Integral) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}")

@@ -2,14 +2,12 @@
 local registration, the six features of each candidate (`atlas.feature_table`
 with the mmea to the model bundle), and threshold-interval decisions.
 
-Per-bundle work is independent by construction (immutable atlas and subject
-arrays, merge ordered by bundle index), so any worker count produces the
-same result.
+Bundles are labeled one at a time, in atlas order, on the calling thread.
+Each bundle reads only the immutable atlas and aligned subject arrays, so its
+result does not depend on which bundles ran before it.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,24 +245,13 @@ def _winner_take_all(bundles: list[BundleParcellation]) -> list[BundleParcellati
     return out
 
 
-def available_cpus() -> int:
-    """CPUs this process may run on (`workers=0`)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def parcellate(
     atlas: AtlasModel,
     subject_streamlines: np.ndarray,
     config: RunConfig | None = None,
 ) -> ParcellationResult:
-    """Full projection: global registration, then every bundle independently.
-
-    Output is deterministic for any worker count: bundle tasks share only
-    immutable inputs and results are merged in atlas order.
-    """
+    """Full projection: global registration, then every bundle independently,
+    in atlas order."""
     cfg = config or RunConfig()
     subject_streamlines = np.asarray(subject_streamlines, dtype=np.float64)
     if len(subject_streamlines) == 0:
@@ -275,17 +262,9 @@ def parcellate(
     atlas_grid = StreamlineGrid(atlas_all, cfg.grid_cell_mm)
     subject_grid = StreamlineGrid(aligned, cfg.grid_cell_mm)
 
-    def run(model: BundleModel) -> BundleParcellation:
-        return parcellate_bundle(model, aligned, atlas_all, cfg,
+    results = [parcellate_bundle(model, aligned, atlas_all, cfg,
                                  subject_grid=subject_grid, atlas_grid=atlas_grid)
-
-    workers = cfg.workers or available_cpus()
-    if workers == 1 or len(atlas.bundles) <= 1:
-        results = [run(m) for m in atlas.bundles]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, atlas.bundles))
-
+               for model in atlas.bundles]
     if cfg.winner_take_all:
         results = _winner_take_all(results)
     return ParcellationResult(

@@ -68,14 +68,6 @@ class RigidTransform:
         R = self.rotation_matrix()
         return (pts - self.pivot) @ R.T + self.pivot + self.translation_mm
 
-    def inverse(self) -> "RigidTransform":
-        R = self.rotation_matrix()
-        Rinv = R.T
-        # inverse maps q -> Rinv (q - pivot - t) + pivot; same pivot, new angles
-        angles = Rotation.from_matrix(Rinv).as_euler("XYZ", degrees=True)
-        t_inv = Rinv @ (-np.asarray(self.translation_mm))
-        return RigidTransform(angles, t_inv, self.pivot)
-
     def is_identity(self, tol: float = 0.0) -> bool:
         return bool(
             np.all(np.abs(self.rotation_deg) <= tol)
@@ -86,13 +78,6 @@ class RigidTransform:
 def apply_rigid(transform: RigidTransform, streamlines: np.ndarray) -> np.ndarray:
     """Transform a streamline or an (n, K, 3) stack."""
     return transform.apply(streamlines)
-
-
-def compose(outer: RigidTransform, inner: RigidTransform) -> RigidTransform:
-    """Transform equivalent to applying ``inner`` then ``outer``."""
-    m = outer.matrix() @ inner.matrix()
-    angles = Rotation.from_matrix(m[:3, :3]).as_euler("XYZ", degrees=True)
-    return RigidTransform(angles, m[:3, 3], np.zeros(3))
 
 
 @dataclass(frozen=True)

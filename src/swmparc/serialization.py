@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .atlas import AtlasModel, BundleModel, FeatureInterval
-from .config import FEATURE_NAMES, RunConfig
+from .config import FEATURE_NAMES
 from .fitting import FAMILIES, FittedDistribution
 from .geometry import Bundle
 from .registration import RegistrationResult, RigidTransform
@@ -40,11 +40,14 @@ def _dump_json(obj, path) -> None:
 def _load_json(path):
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as e:
         raise AtlasFormatError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise AtlasFormatError(f"{path}: invalid JSON ({e})") from e
+    if not isinstance(doc, dict):
+        raise AtlasFormatError(f"{path}: expected a JSON object")
+    return doc
 
 
 def _check_version(found, path) -> None:
@@ -143,10 +146,19 @@ def read_atlas(directory) -> AtlasModel:
     stats = _load_json(stats_path)
     _check_version(stats.get("format_version"), stats_path)
 
-    resample_k = int(manifest["resample_k"])
+    bundle_ids = manifest.get("bundles")
+    if not (isinstance(bundle_ids, list) and bundle_ids
+            and all(isinstance(b, str) for b in bundle_ids)
+            and len(set(bundle_ids)) == len(bundle_ids)):
+        raise AtlasFormatError(
+            f"{manifest_path}: bundles must be a non-empty list of distinct bundle ids")
+    resample_k = manifest.get("resample_k")
+    if not (isinstance(resample_k, int) and not isinstance(resample_k, bool)
+            and resample_k >= 3 and resample_k % 2 == 1):
+        raise AtlasFormatError(f"{manifest_path}: resample_k must be an odd integer >= 3")
     per_bundle = stats.get("bundles", {})
     models = []
-    for bundle_id in manifest["bundles"]:
+    for bundle_id in bundle_ids:
         if bundle_id not in per_bundle:
             raise AtlasFormatError(f"{stats_path}: no stats entry for bundle {bundle_id!r}")
         tck_path = os.path.join(directory, f"{bundle_id}.tck")
@@ -210,15 +222,6 @@ def _registration_to_dict(r: RegistrationResult) -> dict:
     }
 
 
-def result_config_dict(config: RunConfig) -> dict:
-    """Config echo for result outputs.  The worker count is dropped: results
-    are scheduling-independent, and identical runs at different worker counts
-    must leave byte-identical directories."""
-    d = config.to_dict()
-    d.pop("workers", None)
-    return d
-
-
 def write_result(result, directory, subject_streamlines=None) -> None:
     """Write a parcellation result directory: summary.json plus one track
     file per recognized bundle (accepted subject streamlines, original
@@ -243,7 +246,7 @@ def write_result(result, directory, subject_streamlines=None) -> None:
     summary = {
         "format_version": FORMAT_VERSION,
         "subject_count": int(result.subject_count),
-        "config": result_config_dict(result.config),
+        "config": result.config.to_dict(),
         "global_registration": _registration_to_dict(result.global_registration),
         "global_centroids": asdict(result.global_centroids),
         "bundles": bundles,

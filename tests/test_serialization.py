@@ -14,7 +14,6 @@ from swmparc.serialization import (
     read_atlas,
     read_result,
     read_truth,
-    result_config_dict,
     write_atlas,
     write_result,
     write_truth,
@@ -146,7 +145,7 @@ def test_affine_validation(tmp_path):
 
 @pytest.fixture(scope="module")
 def result(atlas):
-    return parcellate(atlas, atlas.all_streamlines(), RunConfig(workers=1))
+    return parcellate(atlas, atlas.all_streamlines(), RunConfig())
 
 
 def test_result_round_trip(atlas, result, tmp_path):
@@ -158,7 +157,7 @@ def test_result_round_trip(atlas, result, tmp_path):
     for orig, rt in zip(result.bundles, back.bundles):
         assert rt.status == orig.status
         assert np.array_equal(rt.accepted_indices, orig.accepted_indices)
-    assert "workers" not in back.config
+    assert back.config == RunConfig().to_dict()
     assert back.config["qb_threshold_global_mm"] == 10.0
     # each recognized bundle gets its accepted streamlines as a track file
     from swmparc.tckio import read_tck
@@ -173,12 +172,6 @@ def test_result_without_subject_writes_no_tracks(result, tmp_path):
     assert names == {"summary.json"}
     back = read_result(tmp_path / "res")
     assert len(back.bundles) == 2
-
-
-def test_result_config_dict_drops_workers():
-    d = result_config_dict(RunConfig(workers=7))
-    assert "workers" not in d
-    assert d == result_config_dict(RunConfig(workers=1))
 
 
 def test_result_version_mismatch(result, tmp_path):
