@@ -18,8 +18,8 @@ log a - digamma(a) = log mean(y) - mean(log y), its scale mean(y) / a; beta's
 (alpha, beta) are where the digamma differences equal mean log u and
 mean log(1 - u).  Each solve stops at a 1e-12 relative step or after
 _NEWTON_MAX_ITER steps.  Burr runs a moment-initialized Nelder-Mead descent
-(`optimize.nelder_mead`, which rigid SBR uses too, from scipy's default
-simplex, at most 300 cost evaluations, so every fit is deterministic) over
+(`optimize.nelder_mead`, from scipy's default simplex, at most 300 cost
+evaluations, so every fit is deterministic) over
 (log c, log lam), with k at its MLE n / sum(log1p((y/lam)^c)); the descent
 ends with no fit at the first point outside the box `_sane_params` accepts.
 """

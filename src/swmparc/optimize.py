@@ -1,4 +1,4 @@
-"""Nelder-Mead simplex descent shared by the distribution fits and rigid SBR.
+"""The package's two descents: Nelder-Mead for the Burr fits, BFGS for rigid SBR.
 
 `nelder_mead` takes the steps of ``scipy.optimize.minimize(method=
 "Nelder-Mead")`` with its default coefficients (reflect 1, expand 2, contract
@@ -8,6 +8,11 @@ included) and the same budget check before every call.  A run therefore gives
 the same point, cost and evaluation count to the last bit.  The simplex is
 kept as lists of Python floats, which for the 1 to 6 parameters fit here costs
 a fraction of scipy's per-iteration array bookkeeping and function wrapper.
+
+`bfgs` is a quasi-Newton descent on a cost with a gradient, with Armijo
+backtracking.  It ends on its own where the gradient is 0 or its line search
+finds no decrease, so a cost floor it cannot get under (the registration
+cost's 3e-8 mm of rounding at a perfect match) does not spend its budget.
 """
 from __future__ import annotations
 
@@ -15,6 +20,8 @@ import numpy as np
 
 _NONZERO_DELTA = 0.05
 _ZERO_DELTA = 0.00025
+# sufficient decrease of the Armijo rule, as a share of the slope
+_ARMIJO = 1e-4
 
 
 class _BudgetSpent(Exception):
@@ -126,3 +133,63 @@ def nelder_mead(f, simplex, maxfev: int, xatol: float, fatol: float):
         sim, fsim = _sort(sim, fsim)
 
     return np.array(sim[0]), float(np.min(fsim)), nfev
+
+
+def bfgs(fg, x0, f0: float, g0, scale, maxfev: int, xatol: float, fatol: float):
+    """Minimize ``f`` by BFGS from ``x0``, given ``f0, g0 = fg(x0)``.
+
+    ``fg(x)`` returns the cost and its gradient at a float64 array ``x``,
+    which it must not modify.  The descent runs in units of ``scale``: its
+    first step goes down the gradient by one unit, moving parameter k by at
+    most ``scale[k]``.  The inverse Hessian starts as y.s / y.y times the
+    identity at the first update.  Each step backtracks from the full
+    quasi-Newton step, halving it until the Armijo rule holds.  The run stops
+    - after a step that moves every parameter by at most ``xatol`` and the
+      cost by at most ``fatol``;
+    - when the gradient is 0 or not a number, or the line search finds no
+      decrease before its step is within ``xatol``;
+    - once ``fg`` has been called ``maxfev`` times.
+    A step whose curvature y.s is not positive leaves the inverse Hessian
+    as it is.
+
+    Returns ``(x, fun, nfev)``: the last accepted point, its cost and the
+    number of calls of ``fg``.
+    """
+    scale = np.asarray(scale, dtype=np.float64)
+    x, f = np.array(x0, dtype=np.float64), float(f0)
+    g = np.asarray(g0, dtype=np.float64) * scale
+    h = None
+    nfev = 0
+    while True:
+        p = -g / np.linalg.norm(g) if h is None else -(h @ g)
+        slope = float(g @ p)
+        if not slope < 0.0:
+            break
+        alpha = 1.0
+        while True:
+            if nfev >= maxfev:
+                return x, f, nfev
+            step = alpha * p * scale
+            trial = x + step
+            f_new, g_new = fg(trial)
+            nfev += 1
+            if f_new <= f + _ARMIJO * alpha * slope:
+                break
+            if np.all(np.abs(step) <= xatol):
+                return x, f, nfev
+            alpha *= 0.5
+        small = bool(np.all(np.abs(step) <= xatol)) and f - f_new <= fatol
+        g_new = np.asarray(g_new, dtype=np.float64) * scale
+        s, y = alpha * p, g_new - g
+        x, f, g = trial, float(f_new), g_new
+        if small:
+            break
+        ys = float(y @ s)
+        if ys > 0.0:
+            if h is None:
+                h = np.eye(len(x)) * (ys / float(y @ y))
+            hy = h @ y
+            rho = 1.0 / ys
+            h = (h - rho * (np.outer(s, hy) + np.outer(hy, s))
+                 + (rho * rho * float(y @ hy) + rho) * np.outer(s, s))
+    return x, f, nfev

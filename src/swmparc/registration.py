@@ -1,9 +1,9 @@
 """Rigid streamline-set registration and bundle neighborhood machinery.
 
 The 6-DOF transform (intrinsic x-y-z Euler rotation about a pivot plus a
-translation) is fit by one deterministic Nelder-Mead descent on the
-symmetric bundle distance.  Neighborhoods are extracted on the fly through
-the spatial grid, never precomputed.
+translation) is fit by one deterministic BFGS descent on the symmetric
+bundle distance and its analytic gradient.  Neighborhoods are extracted on
+the fly through the spatial grid, never precomputed.
 """
 from __future__ import annotations
 
@@ -11,24 +11,27 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .clustering import cluster_centroids, quickbundles
 from .config import RunConfig
 from .distances import MdfKernel, augment
-from .optimize import nelder_mead
+from .optimize import bfgs
 # the brute-force form of RigidCost, still importable from this module
 from .distances import bundle_min_distance  # noqa: F401
 from .spatial import StreamlineGrid
 
-# Nelder-Mead stops when every vertex is within this of the best, in degrees
-# and mm: 0.01 deg moves a point 100 mm from the pivot by 0.017 mm, and
-# 0.01 mm is 1/30 of the 0.3 mm coordinate noise of the benchmark subjects.
+# the descent stops after a step that moves no parameter by more than this,
+# in degrees and mm: 0.01 deg moves a point 100 mm from the pivot by
+# 0.017 mm, and 0.01 mm is 1/30 of the 0.3 mm coordinate noise of the
+# benchmark subjects.
 SBR_XATOL = 1e-2
-# initial simplex steps: criterion 4 recovers moves of 3-10 deg and 3-10 mm
-# from an identity start
+# the first step's length and the units of the descent: criterion 4 recovers
+# moves of 3-10 deg and 3-10 mm from an identity start
 SBR_STEP_DEG = 10.0
 SBR_STEP_MM = 10.0
+_SBR_SCALE = np.array([SBR_STEP_DEG] * 3 + [SBR_STEP_MM] * 3)
+# point differences shorter than this count as zero in the gradient
+_TINY_MM = 1e-150
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ class RigidTransform:
         return cls(np.zeros(3), np.zeros(3), np.zeros(3))
 
     def rotation_matrix(self) -> np.ndarray:
-        return Rotation.from_euler("XYZ", self.rotation_deg, degrees=True).as_matrix()
+        return euler_xyz_matrix(*self.rotation_deg)
 
     def matrix(self) -> np.ndarray:
         """Equivalent homogeneous 4x4 matrix."""
@@ -97,9 +100,8 @@ def euler_xyz_matrix(ax: float, ay: float, az: float) -> np.ndarray:
     """Rotation matrix of intrinsic x-y-z Euler angles in degrees, in closed form.
 
     Composes the three half-angle quaternions and expands the product into a
-    matrix with the operations in the order scipy's `Rotation` uses, so it
-    matches `RigidTransform.rotation_matrix` to the last bit in practice, and
-    the registration takes the same optimizer path with either.
+    matrix with the operations in the order scipy's `Rotation.from_euler(
+    "XYZ", ...)` uses, so it matches scipy to the last bit in practice.
     """
     ha, hb, hc = math.radians(ax) / 2.0, math.radians(ay) / 2.0, math.radians(az) / 2.0
     sa, ca = math.sin(ha), math.cos(ha)
@@ -120,59 +122,151 @@ def euler_xyz_matrix(ax: float, ay: float, az: float) -> np.ndarray:
     ])
 
 
+def euler_xyz_axes(ax: float, ay: float) -> tuple:
+    """Derivatives of `euler_xyz_matrix` in closed form, as three axes.
+
+    With R = Rx(ax) Ry(ay) Rz(az), the derivative by angle r in radians is
+    [w_r]x R, the cross product with axis w_r applied after R: w_x = e_x,
+    w_y = Rx e_y and w_z = Rx Ry e_z.  So a point p rotated to R p moves at
+    w_r x R p.  The axes do not depend on az.  Returns (w_x, w_y, w_z) as
+    tuples of floats.
+    """
+    a, b = math.radians(ax), math.radians(ay)
+    sa, ca, sb, cb = math.sin(a), math.cos(a), math.sin(b), math.cos(b)
+    return (1.0, 0.0, 0.0), (0.0, ca, sa), (sb, -sa * cb, ca * cb)
+
+
+def canonical_orientation(streamlines: np.ndarray) -> np.ndarray:
+    """An (n, K, 3) stack with each streamline reversed where its first point
+    is lexicographically greater than its last, so that a streamline and its
+    reverse come out the same."""
+    first, last = streamlines[:, 0], streamlines[:, -1]
+    axis = (first != last).argmax(axis=1)
+    rows = np.arange(len(streamlines))
+    reverse = first[rows, axis] > last[rows, axis]
+    return np.where(reverse[:, None, None], streamlines[:, ::-1], streamlines)
+
+
 class RigidCost:
     """Symmetric bundle distance of a rigidly moved set to a static one, as a
     function of the 6 parameters (rotation degrees, translation mm) about the
-    moving set's barycenter.
+    moving set's barycenter, with its gradient.
 
     Equals ``bundle_min_distance(RigidTransform(x[:3], x[3:], pivot).apply(
-    moving), static)`` up to rounding.  What does not depend on the
+    moving), static)`` up to rounding.  Both sets are first put in
+    `canonical_orientation`, so that reading any streamline backwards changes
+    no bit of a cost, a gradient or the pivot.  What does not depend on the
     parameters is built once: the moving set centred on the pivot in a
-    (K, n, 3) layout, the static side as an `MdfKernel`, and workspaces for
-    the moved points, their augmented rows and the MDF matrix.  A call builds
-    the rotation in closed form, rotates and translates into the workspace and
-    runs the kernel.  Not safe to share between threads.
+    (K, n, 3) layout, the static side as an `MdfKernel` and as points, and
+    workspaces for the moved points, their augmented rows, the MDF matrix and
+    the gradient's pairs.  A call builds the rotation in closed form, rotates
+    and translates into the workspace and runs the kernel.  Not safe to share
+    between threads.
+
+    The cost of a set against itself is not 0 but about 3e-8 mm, the
+    rounding of the kernel's expansion at coincident points.  There the
+    gradient is only the direction of rounding noise.
     """
 
     def __init__(self, moving: np.ndarray, static: np.ndarray):
+        moving = canonical_orientation(moving)
+        static = canonical_orientation(static)
+        n, k, m = len(moving), moving.shape[1], len(static)
         self.pivot = moving.reshape(-1, 3).mean(axis=0)
         self._centred = np.ascontiguousarray((moving - self.pivot).transpose(1, 0, 2))
         self._moved = np.empty_like(self._centred)
         self._rows = np.empty(self._centred.shape[:2] + (5,))
-        self._kernel = MdfKernel(static, len(moving))
-        self._mdf = np.empty((len(moving), len(static)))
+        self._kernel = MdfKernel(static, n)
+        self._mdf = np.empty((n, m))
+        # the gradient's n + m pairs: each moving row with its nearest static
+        # column, then each static column with its nearest moving row
+        self._static = np.ascontiguousarray(static.transpose(2, 1, 0))
+        self._pair_moving = np.concatenate([np.arange(n), np.zeros(m, dtype=np.intp)])
+        self._pair_static = np.concatenate([np.zeros(n, dtype=np.intp), np.arange(m)])
+        self._weights = np.repeat([0.5 / (n * k), 0.5 / (m * k)], [n, m])
+        self._paired = np.empty((2, 3, k, n + m))
         self.evaluations = 0
 
-    def __call__(self, x: np.ndarray) -> float:
+    def _distances(self, x) -> np.ndarray:
         self.evaluations += 1
         moved = np.matmul(self._centred, euler_xyz_matrix(x[0], x[1], x[2]).T, out=self._moved)
         moved += self.pivot
         moved += x[3:]
-        d = self._kernel(augment(moved, self._rows), self._mdf)
+        return self._kernel(augment(moved, self._rows), self._mdf)
+
+    def __call__(self, x: np.ndarray) -> float:
+        d = self._distances(x)
         n, m = d.shape
         # sum / count is what mean() computes, without its per-call overhead
         return float(0.5 * (d.min(axis=1).sum() / n + d.min(axis=0).sum() / m))
+
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """The cost at ``x``, the same bits as a call, and its 6-vector gradient.
+
+        The gradient is that of the n + m pairs that hold the row and column
+        minima of the MDF matrix, each recomputed from point differences in
+        the static streamline's point order, direct or with the moving points
+        reversed, whichever sum is smaller.  Each unit point difference is
+        weighted 0.5 / (n K) or 0.5 / (m K) and carried through the
+        derivatives of the rotation (`euler_xyz_axes`); a zero-length
+        difference contributes 0.  At an argmin switch this is the gradient of
+        one of the meeting pieces.
+        """
+        d = self._distances(x)
+        n, m = d.shape
+        cost = float(0.5 * (d.min(axis=1).sum() / n + d.min(axis=0).sum() / m))
+        d.argmin(axis=1, out=self._pair_static[:n])
+        d.argmin(axis=0, out=self._pair_moving[n:])
+        # moving points of each pair (x, y, z first), direct and reversed
+        paired = self._paired
+        np.take(self._moved.transpose(2, 0, 1), self._pair_moving, axis=2, out=paired[0])
+        paired[1] = paired[0, :, ::-1]
+        diff = paired - np.take(self._static, self._pair_static, axis=2)
+        dist = np.sqrt((diff * diff).sum(axis=1))
+        sums = dist.sum(axis=1)
+        weight = np.empty_like(sums)
+        np.multiply(self._weights, sums[1] < sums[0], out=weight[1])
+        np.subtract(self._weights, weight[1], out=weight[0])
+        diff *= (weight[:, None, :] / np.maximum(dist, _TINY_MM))[:, None]
+        units = diff.reshape(2, 3, -1)
+        gt = units.sum(axis=(0, 2)).tolist()
+        # torque of the weighted unit differences about the moved pivot:
+        # sum of (p - c) x u over the moving points p, c = pivot + translation
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = np.matmul(
+            units, paired.reshape(2, 3, -1).transpose(0, 2, 1)).sum(axis=0).tolist()
+        cx, cy, cz = (self.pivot + x[3:]).tolist()
+        tx = (m21 - m12) - (cy * gt[2] - cz * gt[1])
+        ty = (m02 - m20) - (cz * gt[0] - cx * gt[2])
+        tz = (m10 - m01) - (cx * gt[1] - cy * gt[0])
+        per_degree = math.pi / 180.0
+        grad = [per_degree * (wx * tx + wy * ty + wz * tz)
+                for wx, wy, wz in euler_xyz_axes(x[0], x[1])]
+        return cost, np.array(grad + gt)
 
 
 def sbr_rigid(moving: np.ndarray, static: np.ndarray, config: RunConfig | None = None) -> RegistrationResult:
     """Rigid registration of a moving streamline set onto a static one.
 
-    Minimizes the symmetric bundle distance over 6 parameters with one run of
-    `optimize.nelder_mead`, the optimizer the distribution fits use too,
-    started at the identity with simplex steps of `SBR_STEP_DEG` and
-    `SBR_STEP_MM`, and spending at most ``max_cost_evaluations`` cost calls.
-    It stops when the simplex spans at most `SBR_XATOL` (degrees and mm) and
-    its costs at most ``cost_tolerance_mm``.  The pivot is the moving set's
-    barycenter.  The cost is one `RigidCost` per call, so its static block and
-    workspaces are built once per registration, not per evaluation, and never
-    shared between threads.  Deterministic: fixed initial simplex, no
-    randomness.  Never raises on optimizer failure; if no parameter set beats
-    the initial cost the identity transform is returned with converged=False.
+    Minimizes the symmetric bundle distance over 6 parameters with one
+    `optimize.bfgs` descent on `RigidCost.value_and_gradient`, started at the
+    identity.  Its first step goes down the gradient by `SBR_STEP_DEG` and
+    `SBR_STEP_MM` units.  It stops after a step that moves every parameter by
+    at most `SBR_XATOL` (degrees and mm) and the cost by at most
+    ``cost_tolerance_mm``, when its line search finds no decrease, or after
+    ``max_cost_evaluations`` value-and-gradient calls beyond the first.  The
+    pivot is the moving set's barycenter.  The cost is one `RigidCost`, so its
+    static block and workspaces are built once per registration, not per
+    evaluation, and never shared between threads.  Deterministic: fixed
+    start, no randomness, and the same result when any streamline of either
+    set is read backwards.  Never raises on optimizer failure; if no
+    parameter set beats the initial cost the identity transform is returned
+    with converged=False.
 
-    The cost of a set against itself is not 0 but about 3e-8 mm, the
-    rounding of the kernel's expansion at coincident points.  With a
-    ``cost_tolerance_mm`` below that floor an already aligned pair is not
-    returned at once, and the optimizer spends its whole budget on it.
+    The cost of a set against itself is about 3e-8 mm, not 0, so with a
+    ``cost_tolerance_mm`` below that an already aligned pair runs the
+    descent.  No step lowers that cost, so the line search ends the descent
+    after at most a dozen calls (one halving of the first step per factor 2
+    down to `SBR_XATOL`), not at the budget.
     """
     cfg = config or RunConfig()
     moving = np.asarray(moving, dtype=np.float64)
@@ -185,7 +279,7 @@ def sbr_rigid(moving: np.ndarray, static: np.ndarray, config: RunConfig | None =
     cost = RigidCost(moving, static)
 
     x0 = np.zeros(6)
-    initial_cost = cost(x0)
+    initial_cost, gradient = cost.value_and_gradient(x0)
     if initial_cost <= cfg.cost_tolerance_mm:
         return RegistrationResult(
             transform=RigidTransform.identity(),
@@ -195,9 +289,9 @@ def sbr_rigid(moving: np.ndarray, static: np.ndarray, config: RunConfig | None =
             converged=True,
         )
 
-    simplex = np.vstack([x0, np.diag([SBR_STEP_DEG] * 3 + [SBR_STEP_MM] * 3)])
-    best_x, best_cost, _ = nelder_mead(cost, simplex, cfg.max_cost_evaluations,
-                                       xatol=SBR_XATOL, fatol=cfg.cost_tolerance_mm)
+    best_x, best_cost, _ = bfgs(cost.value_and_gradient, x0, initial_cost, gradient, _SBR_SCALE,
+                                cfg.max_cost_evaluations, xatol=SBR_XATOL,
+                                fatol=cfg.cost_tolerance_mm)
 
     if not (math.isfinite(best_cost) and best_cost < initial_cost):
         return RegistrationResult(

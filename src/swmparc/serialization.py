@@ -169,19 +169,62 @@ def read_atlas(directory) -> AtlasModel:
             if len(s) != resample_k:
                 raise AtlasFormatError(
                     f"{tck_path}: streamline with {len(s)} points, expected {resample_k}")
-        entry = per_bundle[bundle_id]
-        models.append(BundleModel(
-            bundle=Bundle(bundle_id, np.asarray(streamlines, dtype=np.float64)),
-            barycenter=np.asarray(entry["barycenter"], dtype=np.float64),
-            radius_mm=float(entry["radius_mm"]),
-            reference=np.asarray(entry["reference"], dtype=np.float64),
-            reference_normal=np.asarray(entry["reference_normal"], dtype=np.float64),
-            reference_normal_degenerate=bool(entry["reference_normal_degenerate"]),
-            reference_direction=np.asarray(entry["reference_direction"], dtype=np.float64),
-            thresholds={f: _interval_from_dict(entry["thresholds"][f]) for f in FEATURE_NAMES},
-            fits={f: _fit_from_dict(entry["fits"][f], stats_path) for f in FEATURE_NAMES},
-        ))
+        models.append(_bundle_model(
+            Bundle(bundle_id, np.asarray(streamlines, dtype=np.float64)),
+            per_bundle[bundle_id], resample_k, f"{stats_path}: bundle {bundle_id!r}"))
     return AtlasModel(bundles=tuple(models), resample_k=resample_k)
+
+
+_BUNDLE_KEYS = ("barycenter", "radius_mm", "reference", "reference_normal",
+                "reference_normal_degenerate", "reference_direction", "thresholds", "fits")
+
+
+def _bundle_model(bundle: Bundle, entry, resample_k: int, where: str) -> BundleModel:
+    """A bundle's `atlas_stats.json` entry as a `BundleModel`, or an
+    `AtlasFormatError` that starts with ``where``."""
+    if not isinstance(entry, dict):
+        raise AtlasFormatError(f"{where}: expected a JSON object")
+    missing = [key for key in _BUNDLE_KEYS if key not in entry]
+    if missing:
+        raise AtlasFormatError(f"{where}: missing {', '.join(missing)}")
+
+    def vector(key, shape):
+        try:
+            value = np.asarray(entry[key], dtype=np.float64)
+        except (OverflowError, TypeError, ValueError):
+            value = None
+        if value is None or value.shape != shape:
+            raise AtlasFormatError(f"{where}: {key} must be numbers of shape {shape}")
+        return value
+
+    radius = entry["radius_mm"]
+    try:  # a JSON integer past the float range overflows
+        finite = (isinstance(radius, (int, float)) and not isinstance(radius, bool)
+                  and math.isfinite(radius))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise AtlasFormatError(f"{where}: radius_mm must be a finite number")
+    if not isinstance(entry["reference_normal_degenerate"], bool):
+        raise AtlasFormatError(f"{where}: reference_normal_degenerate must be true or false")
+    try:
+        thresholds = {f: _interval_from_dict(entry["thresholds"][f]) for f in FEATURE_NAMES}
+        fits = {f: _fit_from_dict(entry["fits"][f], where) for f in FEATURE_NAMES}
+    except AtlasFormatError:
+        raise
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
+        raise AtlasFormatError(f"{where}: malformed thresholds or fits ({e!r})") from e
+    return BundleModel(
+        bundle=bundle,
+        barycenter=vector("barycenter", (3,)),
+        radius_mm=float(radius),
+        reference=vector("reference", (resample_k, 3)),
+        reference_normal=vector("reference_normal", (3,)),
+        reference_normal_degenerate=entry["reference_normal_degenerate"],
+        reference_direction=vector("reference_direction", (3,)),
+        thresholds=thresholds,
+        fits=fits,
+    )
 
 
 def read_affine(path) -> np.ndarray:

@@ -291,6 +291,56 @@ def test_exit_2_on_hostile_atlas_manifest(work, tmp_path, capsys, edit, message)
     assert not (tmp_path / "o").exists()
 
 
+def without(entry, key):
+    return {k: v for k, v in entry.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda e: {**e, "radius_mm": "abc"}, "radius_mm must be a finite number"),
+    (lambda e: {**e, "radius_mm": True}, "radius_mm must be a finite number"),
+    (lambda e: {**e, "radius_mm": 10 ** 400}, "radius_mm must be a finite number"),
+    (lambda e: {**e, "barycenter": [10 ** 400, 0.0, 0.0]},
+     "barycenter must be numbers of shape (3,)"),
+    (lambda e: without(e, "thresholds"), "missing thresholds"),
+    (lambda e: without(e, "fits"), "missing fits"),
+    (lambda e: without(e, "reference"), "missing reference"),
+    (lambda e: without(e, "reference_normal"), "missing reference_normal"),
+    (lambda e: without(e, "reference_direction"), "missing reference_direction"),
+    (lambda e: {**e, "barycenter": e["barycenter"][:2]},
+     "barycenter must be numbers of shape (3,)"),
+    (lambda e: {**e, "reference_normal": e["reference_normal"] + [0.0]},
+     "reference_normal must be numbers of shape (3,)"),
+    (lambda e: {**e, "reference": e["reference"][1:]},
+     "reference must be numbers of shape (21, 3)"),
+    (lambda e: {**e, "reference_direction": ["x", 0.0, 1.0]},
+     "reference_direction must be numbers of shape (3,)"),
+    (lambda e: {**e, "reference_normal_degenerate": "no"},
+     "reference_normal_degenerate must be true or false"),
+    (lambda e: {**e, "thresholds": without(e["thresholds"], "length_mm")},
+     "malformed thresholds or fits (KeyError('length_mm'))"),
+    (lambda e: {**e, "fits": {f: [] for f in e["fits"]}},
+     "malformed thresholds or fits (AttributeError(\"'list' object has no attribute 'get'\"))"),
+    (lambda e: "abc", "expected a JSON object"),
+], ids=["radius_text", "radius_bool", "radius_past_float", "barycenter_past_float",
+        "no_thresholds", "no_fits", "no_reference",
+        "no_reference_normal", "no_reference_direction", "short_barycenter", "long_normal",
+        "short_reference", "text_in_direction", "degenerate_text", "threshold_feature_gone",
+        "fits_not_objects", "entry_not_an_object"])
+def test_exit_2_on_hostile_atlas_stats(work, tmp_path, capsys, edit, message):
+    atlas = tmp_path / "atlas"
+    shutil.copytree(work / "atlas", atlas)
+    stats = json.loads((atlas / "atlas_stats.json").read_text())
+    stats["bundles"]["cli_b"] = edit(stats["bundles"]["cli_b"])
+    (atlas / "atlas_stats.json").write_text(json.dumps(stats))
+    capsys.readouterr()
+    assert main(["parcellate", "--atlas", str(atlas),
+                 "--subject", str(work / "scene" / "subject.tck"),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {atlas / 'atlas_stats.json'}: bundle 'cli_b': {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_2_on_bad_affine(work, tmp_path):
     affine = tmp_path / "bad.txt"
     np.savetxt(affine, np.eye(3))

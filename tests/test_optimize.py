@@ -1,5 +1,10 @@
-"""`nelder_mead` against scipy's Nelder-Mead, which it reproduces bit for bit."""
+"""`nelder_mead` against scipy's Nelder-Mead, which it reproduces bit for bit,
+and `bfgs` on costs whose minimum is known."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from swmparc.optimize import default_simplex, nelder_mead
+import swmparc
+from swmparc.optimize import bfgs, default_simplex, nelder_mead
 
 # scipy warns on the inf - inf and NaN differences of its stop test
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -135,3 +141,80 @@ def test_nan_costs_never_stop_the_run():
 def test_rejects_a_malformed_simplex():
     with pytest.raises(ValueError):
         nelder_mead(lambda x: 0.0, [[0.0, 0.0], [1.0, 0.0]], 10, 0.0, 0.0)
+
+
+def counted(fg):
+    calls = []
+
+    def wrapped(x):
+        calls.append(np.array(x))
+        return fg(x)
+    return wrapped, calls
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_bfgs_finds_the_minimum_of_a_convex_quadratic(seed):
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((6, 6))
+    hessian = q @ q.T + 0.5 * np.eye(6)
+    center = rng.uniform(-10.0, 10.0, 6)
+
+    def fg(x):
+        d = x - center
+        return 0.5 * float(d @ hessian @ d), hessian @ d
+
+    f, calls = counted(fg)
+    x0 = np.zeros(6)
+    x, fun, nfev = bfgs(f, x0, *fg(x0), [10.0] * 6, 500, xatol=1e-6, fatol=1e-12)
+    assert nfev == len(calls) < 500
+    assert np.abs(x - center).max() < 1e-3
+    assert fun == fg(x)[0] <= fg(x0)[0]
+
+
+def test_bfgs_first_step_and_budget():
+    # the first trial goes down the gradient by one unit of the scale
+    def fg(x):
+        return float(x @ x), 2.0 * x
+
+    f, calls = counted(fg)
+    x0 = np.array([3.0, 4.0])
+    x, fun, nfev = bfgs(f, x0, *fg(x0), [0.5, 2.0], 1, xatol=1e-8, fatol=0.0)
+    assert nfev == 1
+    # gradient (6, 8), in units of the scale (3, 16)
+    assert np.allclose(calls[0], x0 - np.array([0.5 * 3.0, 2.0 * 16.0]) / math.hypot(3.0, 16.0))
+    assert fun == fg(x)[0] < 25.0
+
+
+def test_bfgs_stops_at_a_zero_gradient():
+    f, calls = counted(lambda x: (1.0, np.zeros(3)))
+    x, fun, nfev = bfgs(f, np.ones(3), 1.0, np.zeros(3), [1.0] * 3, 100, xatol=1e-2, fatol=0.0)
+    assert (nfev, calls, fun) == (0, [], 1.0)
+    assert x.tolist() == [1.0] * 3
+
+
+def test_bfgs_stops_when_no_step_decreases():
+    # a kink at 0: every step along the gradient rises, so the line search
+    # halves until no parameter moves by more than xatol
+    def fg(x):
+        return float(np.abs(x).sum() + 1.0), -np.sign(x) - (x == 0)
+
+    f, calls = counted(fg)
+    x0 = np.zeros(2)
+    x, fun, nfev = bfgs(f, x0, *fg(x0), [1.0, 1.0], 100, xatol=1e-3, fatol=0.0)
+    assert x.tolist() == [0.0, 0.0] and fun == 1.0
+    assert nfev == len(calls) == 1 + math.ceil(math.log2(1.0 / math.sqrt(2) / 1e-3))
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # importing scipy.optimize costs about 7 MB of peak memory; the package
+    # has its own descents
+    source_root = str(Path(swmparc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [source_root, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, swmparc.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
