@@ -194,11 +194,14 @@ class RigidCost:
         moved += x[3:]
         return self._kernel(augment(moved, self._rows), self._mdf)
 
-    def __call__(self, x: np.ndarray) -> float:
-        d = self._distances(x)
+    @staticmethod
+    def _bundle_distance(d: np.ndarray) -> float:
         n, m = d.shape
         # sum / count is what mean() computes, without its per-call overhead
         return float(0.5 * (d.min(axis=1).sum() / n + d.min(axis=0).sum() / m))
+
+    def __call__(self, x: np.ndarray) -> float:
+        return self._bundle_distance(self._distances(x))
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """The cost at ``x``, the same bits as a call, and its 6-vector gradient.
@@ -213,8 +216,8 @@ class RigidCost:
         one of the meeting pieces.
         """
         d = self._distances(x)
-        n, m = d.shape
-        cost = float(0.5 * (d.min(axis=1).sum() / n + d.min(axis=0).sum() / m))
+        n = len(d)
+        cost = self._bundle_distance(d)
         d.argmin(axis=1, out=self._pair_static[:n])
         d.argmin(axis=0, out=self._pair_moving[n:])
         # moving points of each pair (x, y, z first), direct and reversed
