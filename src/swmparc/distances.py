@@ -11,6 +11,14 @@ direct and flipped, in one batched matmul.  Its row chunks are sized by an
 element budget on the (K, rows, 2m) distance block, `_BLOCK_ELEMENTS`, and its
 workspaces are allocated once per kernel: the registration builds one kernel
 per registration and reuses it for every cost evaluation.
+
+The budget matters.  Over the 208 `pairwise_mmea` calls of the three bench
+workloads' first seed (a 2-core VM, one BLAS thread, two runs), a 1 MB block
+(2^17 values) takes 22-27% less time than an 8 MB one (0.35-0.39 against
+0.47-0.50 s) with the same bits, since the block stays in cache between the
+matmul that writes it and the passes that read it.  At 2^14 values a block
+holds one row of a 300-column call, so every chunk runs as a matrix-vector
+product: 7-12% slower than 8 MB, and the bits of all 40 such calls change.
 """
 from __future__ import annotations
 
@@ -19,9 +27,10 @@ import numpy as np
 from .geometry import midpoints
 
 # Most float64 values one (K, rows, 2m) point-distance block of the fused
-# kernel may hold (8 MB); rows, and columns when one row is wider, are
-# chunked to stay within it.  Smaller blocks cost no measurable time.
-_BLOCK_ELEMENTS = 1 << 20
+# kernel may hold (1 MB, small enough to stay in cache; see the module
+# docstring); rows, and columns when one row is wider, are chunked to stay
+# within it.
+_BLOCK_ELEMENTS = 1 << 17
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,10 +103,10 @@ class MdfKernel:
     batched matmul, a clamp (the |a|^2 + |b|^2 - 2 a.b expansion can go slightly
     negative under rounding), a sqrt and a sum over K, then keeps the smaller
     of the direct and flipped halves.  Static columns are split into blocks
-    and moving rows into chunks so that no (K, rows, 2 columns) distance block
-    holds more than `_BLOCK_ELEMENTS` values.  The workspaces are allocated
-    once, for moving sets of up to ``n`` streamlines, and reused by every call,
-    so an instance must not be shared between threads.
+    and moving rows into chunks (`chunks`) so that no (K, rows, 2 columns)
+    distance block holds more than `_BLOCK_ELEMENTS` values.  The workspaces
+    are allocated once, for moving sets of up to ``n`` streamlines, and reused
+    by every call, so an instance must not be shared between threads.
     """
 
     def __init__(self, B: np.ndarray, n: int):
@@ -109,16 +118,27 @@ class MdfKernel:
         self._dist = np.empty(k * self.rows * 2 * width)
         self._sums = np.empty(self.rows * 2 * width)
 
+    def chunks(self, n: int) -> list[tuple[int, int]]:
+        """Ranges of ``n`` moving rows, at most `rows` each, split evenly.
+
+        numpy runs a one-row matmul as a matrix-vector product, which rounds
+        differently from the matrix product of the other chunks; an even split
+        has no one-row chunk unless n is 1 or `rows` is below 3.
+        """
+        count = -(-n // self.rows)
+        return [(n * i // count, n * (i + 1) // count) for i in range(count)]
+
     def __call__(self, aug: np.ndarray, out: np.ndarray) -> np.ndarray:
         """MDF of the moving rows ``aug`` (K, n, 5) to every static streamline,
         written into ``out`` of shape (n, m)."""
         k, n = aug.shape[:2]
+        spans = self.chunks(n)
         for c0, block in self.blocks:
             c = block.shape[2] // 2
-            for lo in range(0, n, self.rows):
-                r = min(self.rows, n - lo)
+            for lo, hi in spans:
+                r = hi - lo
                 dist = self._dist[:k * r * 2 * c].reshape(k, r, 2 * c)
-                np.matmul(aug[:, lo:lo + r], block, out=dist)
+                np.matmul(aug[:, lo:hi], block, out=dist)
                 np.maximum(dist, 0.0, out=dist)
                 np.sqrt(dist, out=dist)
                 sums = dist.sum(axis=0, out=self._sums[:r * 2 * c].reshape(r, 2 * c))
@@ -141,8 +161,7 @@ def pairwise_mdf(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     out = np.empty((n, B.shape[0]))
     if out.size:
         kernel = MdfKernel(B, n)
-        for lo in range(0, n, kernel.rows):
-            hi = lo + kernel.rows
+        for lo, hi in kernel.chunks(n):
             kernel(augment(A[lo:hi].transpose(1, 0, 2)), out[lo:hi])
     return out
 

@@ -10,9 +10,10 @@ kept as lists of Python floats, which for the 1 to 6 parameters fit here costs
 a fraction of scipy's per-iteration array bookkeeping and function wrapper.
 
 `bfgs` is a quasi-Newton descent on a cost with a gradient, with Armijo
-backtracking.  It ends on its own where the gradient is 0 or its line search
-finds no decrease, so a cost floor it cannot get under (the registration
-cost's 3e-8 mm of rounding at a perfect match) does not spend its budget.
+backtracking; it asks for the gradient only at the steps it accepts.  It
+ends on its own where the gradient is 0 or its line search finds no
+decrease, so a cost floor it cannot get under (the registration cost's
+3e-8 mm of rounding at a perfect match) does not spend its budget.
 """
 from __future__ import annotations
 
@@ -135,28 +136,32 @@ def nelder_mead(f, simplex, maxfev: int, xatol: float, fatol: float):
     return np.array(sim[0]), float(np.min(fsim)), nfev
 
 
-def bfgs(fg, x0, f0: float, g0, scale, maxfev: int, xatol: float, fatol: float):
-    """Minimize ``f`` by BFGS from ``x0``, given ``f0, g0 = fg(x0)``.
+def bfgs(f, grad, x0, f0: float, g0, scale, maxfev: int, xatol: float, fatol: float):
+    """Minimize ``f`` by BFGS from ``x0``, given ``f0 = f(x0)`` and
+    ``g0 = grad(x0)``.
 
-    ``fg(x)`` returns the cost and its gradient at a float64 array ``x``,
-    which it must not modify.  The descent runs in units of ``scale``: its
-    first step goes down the gradient by one unit, moving parameter k by at
-    most ``scale[k]``.  The inverse Hessian starts as y.s / y.y times the
-    identity at the first update.  Each step backtracks from the full
-    quasi-Newton step, halving it until the Armijo rule holds.  The run stops
+    ``f(x)`` returns the cost at a float64 array ``x`` and ``grad(x)`` its
+    gradient; neither may modify ``x``.  The line search calls ``f`` alone,
+    and ``grad`` only at the step it accepts, right after the ``f`` call at
+    that point, so a cost may take the gradient from what that call left
+    behind.  The descent runs in units of ``scale``: its first step goes down
+    the gradient by one unit, moving parameter k by at most ``scale[k]``.
+    The inverse Hessian starts as y.s / y.y times the identity at the first
+    update.  Each step backtracks from the full quasi-Newton step, halving it
+    until the Armijo rule holds.  The run stops
     - after a step that moves every parameter by at most ``xatol`` and the
       cost by at most ``fatol``;
     - when the gradient is 0 or not a number, or the line search finds no
       decrease before its step is within ``xatol``;
-    - once ``fg`` has been called ``maxfev`` times.
+    - once ``f`` has been called ``maxfev`` times.
     A step whose curvature y.s is not positive leaves the inverse Hessian
     as it is.
 
     Returns ``(x, fun, nfev)``: the last accepted point, its cost and the
-    number of calls of ``fg``.
+    number of calls of ``f``.
     """
     scale = np.asarray(scale, dtype=np.float64)
-    x, f = np.array(x0, dtype=np.float64), float(f0)
+    x, fx = np.array(x0, dtype=np.float64), float(f0)
     g = np.asarray(g0, dtype=np.float64) * scale
     h = None
     nfev = 0
@@ -168,22 +173,23 @@ def bfgs(fg, x0, f0: float, g0, scale, maxfev: int, xatol: float, fatol: float):
         alpha = 1.0
         while True:
             if nfev >= maxfev:
-                return x, f, nfev
+                return x, fx, nfev
             step = alpha * p * scale
             trial = x + step
-            f_new, g_new = fg(trial)
+            f_new = float(f(trial))
             nfev += 1
-            if f_new <= f + _ARMIJO * alpha * slope:
+            if f_new <= fx + _ARMIJO * alpha * slope:
                 break
             if np.all(np.abs(step) <= xatol):
-                return x, f, nfev
+                return x, fx, nfev
             alpha *= 0.5
-        small = bool(np.all(np.abs(step) <= xatol)) and f - f_new <= fatol
-        g_new = np.asarray(g_new, dtype=np.float64) * scale
-        s, y = alpha * p, g_new - g
-        x, f, g = trial, float(f_new), g_new
+        small = bool(np.all(np.abs(step) <= xatol)) and fx - f_new <= fatol
+        x, fx = trial, f_new
         if small:
             break
+        g_new = np.asarray(grad(trial), dtype=np.float64) * scale
+        s, y = alpha * p, g_new - g
+        g = g_new
         ys = float(y @ s)
         if ys > 0.0:
             if h is None:
@@ -192,4 +198,4 @@ def bfgs(fg, x0, f0: float, g0, scale, maxfev: int, xatol: float, fatol: float):
             rho = 1.0 / ys
             h = (h - rho * (np.outer(s, hy) + np.outer(hy, s))
                  + (rho * rho * float(y @ hy) + rho) * np.outer(s, s))
-    return x, f, nfev
+    return x, fx, nfev

@@ -160,8 +160,9 @@ class RigidCost:
     (K, n, 3) layout, the static side as an `MdfKernel` and as points, and
     workspaces for the moved points, their augmented rows, the MDF matrix and
     the gradient's pairs.  A call builds the rotation in closed form, rotates
-    and translates into the workspace and runs the kernel.  Not safe to share
-    between threads.
+    and translates into the workspace and runs the kernel; `gradient` then
+    reads the moved points and the MDF matrix that call left.  Not safe to
+    share between threads.
 
     The cost of a set against itself is not 0 but about 3e-8 mm, the
     rounding of the kernel's expansion at coincident points.  There the
@@ -185,26 +186,25 @@ class RigidCost:
         self._pair_static = np.concatenate([np.zeros(n, dtype=np.intp), np.arange(m)])
         self._weights = np.repeat([0.5 / (n * k), 0.5 / (m * k)], [n, m])
         self._paired = np.empty((2, 3, k, n + m))
+        self._at = None  # the bytes of the last call's parameters
         self.evaluations = 0
 
-    def _distances(self, x) -> np.ndarray:
+    def __call__(self, x: np.ndarray) -> float:
         self.evaluations += 1
+        x = np.asarray(x, dtype=np.float64)
+        self._at = x.tobytes()
         moved = np.matmul(self._centred, euler_xyz_matrix(x[0], x[1], x[2]).T, out=self._moved)
         moved += self.pivot
         moved += x[3:]
-        return self._kernel(augment(moved, self._rows), self._mdf)
-
-    @staticmethod
-    def _bundle_distance(d: np.ndarray) -> float:
+        d = self._kernel(augment(moved, self._rows), self._mdf)
         n, m = d.shape
         # sum / count is what mean() computes, without its per-call overhead
         return float(0.5 * (d.min(axis=1).sum() / n + d.min(axis=0).sum() / m))
 
-    def __call__(self, x: np.ndarray) -> float:
-        return self._bundle_distance(self._distances(x))
-
-    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """The cost at ``x``, the same bits as a call, and its 6-vector gradient.
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """The 6-vector gradient of the cost at ``x``, from the moved points
+        and the MDF matrix of the last call, which must have been at ``x``;
+        it is not an evaluation.
 
         The gradient is that of the n + m pairs that hold the row and column
         minima of the MDF matrix, each recomputed from point differences in
@@ -215,9 +215,11 @@ class RigidCost:
         difference contributes 0.  At an argmin switch this is the gradient of
         one of the meeting pieces.
         """
-        d = self._distances(x)
+        x = np.asarray(x, dtype=np.float64)
+        if x.tobytes() != self._at:
+            raise ValueError("RigidCost.gradient(x) needs the last call to be at x")
+        d = self._mdf
         n = len(d)
-        cost = self._bundle_distance(d)
         d.argmin(axis=1, out=self._pair_static[:n])
         d.argmin(axis=0, out=self._pair_moving[n:])
         # moving points of each pair (x, y, z first), direct and reversed
@@ -244,19 +246,20 @@ class RigidCost:
         per_degree = math.pi / 180.0
         grad = [per_degree * (wx * tx + wy * ty + wz * tz)
                 for wx, wy, wz in euler_xyz_axes(x[0], x[1])]
-        return cost, np.array(grad + gt)
+        return np.array(grad + gt)
 
 
 def sbr_rigid(moving: np.ndarray, static: np.ndarray, config: RunConfig | None = None) -> RegistrationResult:
     """Rigid registration of a moving streamline set onto a static one.
 
     Minimizes the symmetric bundle distance over 6 parameters with one
-    `optimize.bfgs` descent on `RigidCost.value_and_gradient`, started at the
+    `optimize.bfgs` descent on a `RigidCost` and its gradient, started at the
     identity.  Its first step goes down the gradient by `SBR_STEP_DEG` and
     `SBR_STEP_MM` units.  It stops after a step that moves every parameter by
     at most `SBR_XATOL` (degrees and mm) and the cost by at most
     ``cost_tolerance_mm``, when its line search finds no decrease, or after
-    ``max_cost_evaluations`` value-and-gradient calls beyond the first.  The
+    ``max_cost_evaluations`` cost calls beyond the first; the gradient is
+    taken only at accepted steps, from the distances of the call there.  The
     pivot is the moving set's barycenter.  The cost is one `RigidCost`, so its
     static block and workspaces are built once per registration, not per
     evaluation, and never shared between threads.  Deterministic: fixed
@@ -282,7 +285,7 @@ def sbr_rigid(moving: np.ndarray, static: np.ndarray, config: RunConfig | None =
     cost = RigidCost(moving, static)
 
     x0 = np.zeros(6)
-    initial_cost, gradient = cost.value_and_gradient(x0)
+    initial_cost = cost(x0)
     if initial_cost <= cfg.cost_tolerance_mm:
         return RegistrationResult(
             transform=RigidTransform.identity(),
@@ -292,8 +295,8 @@ def sbr_rigid(moving: np.ndarray, static: np.ndarray, config: RunConfig | None =
             converged=True,
         )
 
-    best_x, best_cost, _ = bfgs(cost.value_and_gradient, x0, initial_cost, gradient, _SBR_SCALE,
-                                cfg.max_cost_evaluations, xatol=SBR_XATOL,
+    best_x, best_cost, _ = bfgs(cost, cost.gradient, x0, initial_cost, cost.gradient(x0),
+                                _SBR_SCALE, cfg.max_cost_evaluations, xatol=SBR_XATOL,
                                 fatol=cfg.cost_tolerance_mm)
 
     if not (math.isfinite(best_cost) and best_cost < initial_cost):

@@ -26,6 +26,50 @@ def fit_all_families(samples, min_samples=8):
     return {family: fit_family(samples, family, min_samples) for family in FAMILIES}
 
 
+def reference_bfgs(fg, x0, f0, g0, scale, maxfev, xatol, fatol):
+    """The descent as it ran when every line-search trial also computed the
+    gradient: ``fg(x)`` returns the cost and the gradient.  The oracle of
+    `bfgs`, which takes the gradient at accepted steps only."""
+    scale = np.asarray(scale, dtype=np.float64)
+    x, f = np.array(x0, dtype=np.float64), float(f0)
+    g = np.asarray(g0, dtype=np.float64) * scale
+    h = None
+    nfev = 0
+    while True:
+        p = -g / np.linalg.norm(g) if h is None else -(h @ g)
+        slope = float(g @ p)
+        if not slope < 0.0:
+            break
+        alpha = 1.0
+        while True:
+            if nfev >= maxfev:
+                return x, f, nfev
+            step = alpha * p * scale
+            trial = x + step
+            f_new, g_new = fg(trial)
+            nfev += 1
+            if f_new <= f + 1e-4 * alpha * slope:
+                break
+            if np.all(np.abs(step) <= xatol):
+                return x, f, nfev
+            alpha *= 0.5
+        small = bool(np.all(np.abs(step) <= xatol)) and f - f_new <= fatol
+        g_new = np.asarray(g_new, dtype=np.float64) * scale
+        s, y = alpha * p, g_new - g
+        x, f, g = trial, float(f_new), g_new
+        if small:
+            break
+        ys = float(y @ s)
+        if ys > 0.0:
+            if h is None:
+                h = np.eye(len(x)) * (ys / float(y @ y))
+            hy = h @ y
+            rho = 1.0 / ys
+            h = (h - rho * (np.outer(s, hy) + np.outer(hy, s))
+                 + (rho * rho * float(y @ hy) + rho) * np.outer(s, s))
+    return x, f, nfev
+
+
 def make_arc(radius=10.0, span_deg=180.0, k=21, center=(0.0, 0.0, 0.0)):
     """Planar circular arc in the xy plane, symmetric about the y axis."""
     half = np.radians(span_deg) / 2.0

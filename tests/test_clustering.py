@@ -1,12 +1,14 @@
 """One-pass clustering checked against a plain-loop replay oracle and, bit for
 bit, against the full-scan loop that the mean-distance pruning replaced."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import swmparc.clustering as clustering
 from swmparc.clustering import Cluster, cluster_centroids, quickbundles
 from swmparc.distances import mdf
 
@@ -209,6 +211,15 @@ def nan_case():
     return np.stack([s, np.full_like(s, np.nan), s + 0.5]), 10.0
 
 
+def chunk_case():
+    """More lines than two chunks of orientation pairs, most of them joining
+    clusters seeded in an earlier chunk."""
+    rng = np.random.default_rng(10)
+    base = random_streamlines(rng, 12, scale=60.0) + 100.0
+    lines = base[rng.integers(12, size=2 * clustering._CHUNK_ROWS + 9)]
+    return lines + rng.normal(0.0, 0.3, lines.shape), 6.0
+
+
 @st.composite
 def streamline_sets(draw):
     """Random lines near 100 mm, where the means round at ~1e-13 mm, with exact
@@ -242,18 +253,68 @@ def streamline_sets(draw):
 @example(stale_mean_case())
 @example(nan_case())
 @example((random_streamlines(np.random.default_rng(9), 40) + 100.0, 2.0))
+@example(chunk_case())
 @example((np.empty((3, 0, 3)), 2.0))  # no points: NaN MDFs, three clusters
 def test_pruned_scan_matches_full_scan_bit_for_bit(case):
     lines, threshold = case
     assert_same_clusters(quickbundles(lines, threshold), reference_quickbundles(lines, threshold))
 
 
+def near_counts(lines, threshold):
+    """For each line, how many centroids of the full scan's state at its turn
+    the mean-distance bound leaves in: 1 takes the one-candidate branch of
+    ``quickbundles``, more the several-candidate one."""
+    slack = clustering._BOUND_SLACK
+    bound = threshold * (1.0 + slack) + slack * np.abs(lines).max()
+    counts = []
+    for idx, s in enumerate(lines):
+        means = np.array([c.centroid.mean(axis=0)
+                          for c in reference_quickbundles(lines[:idx], threshold)])
+        gap = ((means - s.mean(axis=0)) ** 2).sum(axis=1) if idx else np.empty(0)
+        counts.append(int(np.count_nonzero(~(gap >= bound * bound))))
+    return counts
+
+
 def test_oracle_cases_exercise_their_paths():
     # the examples above decide something, or the property could pass vacuously
     lines, threshold = tie_case()
     assert quickbundles(lines, threshold)[0].member_indices == [0, 2]
+    assert near_counts(lines, threshold) == [0, 1, 2]  # several candidates tie
     lines, threshold = stale_mean_case()
     assert quickbundles(lines, threshold)[0].member_indices == [0, 1, 2]
+    assert near_counts(lines, threshold) == [0, 1, 1]  # one candidate, joined twice
     lines, threshold = nan_case()
     assert [c.member_indices for c in quickbundles(lines, threshold)] == [[0], [1], [2]]
+    assert near_counts(lines, threshold) == [0, 1, 2]  # the NaN one among several
     assert len(quickbundles(random_streamlines(np.random.default_rng(9), 40) + 100.0, 2.0)) > 16
+    lines, threshold = chunk_case()
+    clusters = quickbundles(lines, threshold)
+    assert len(lines) > 2 * clustering._CHUNK_ROWS and len(clusters) <= 12
+    assert max(max(c.member_indices) for c in clusters) >= 2 * clustering._CHUNK_ROWS
+    # no points: every line seeds a cluster of an empty centroid
+    clusters = quickbundles(np.empty((3, 0, 3)), 2.0)
+    assert [c.member_indices for c in clusters] == [[0], [1], [2]]
+    assert [c.centroid.shape for c in clusters] == [(0, 3)] * 3
+
+
+def test_temporaries_stay_bounded():
+    # about 20,000 lines round 50 streamlines, so about 50 clusters: the peak
+    # of what quickbundles allocates stays below the input plus the centroid
+    # and sum arrays plus one chunk of orientation pairs, and so below any
+    # temporary of the input's size or more (a (n, 2, K, 3) copy is twice it)
+    rng = np.random.default_rng(11)
+    base = random_streamlines(rng, 50, scale=200.0)
+    lines = base[rng.integers(50, size=20_000)]
+    lines += rng.normal(0.0, 0.5, lines.shape)
+    tracemalloc.start()
+    try:
+        clusters = quickbundles(lines, 5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = lines.shape[1]
+    capacity = 16 << max(0, math.ceil(math.log2(len(clusters) / 16)))
+    centroid_arrays = 2 * capacity * 3 * k * 8
+    chunk = clustering._CHUNK_ROWS * 2 * 3 * k * 8
+    assert len(clusters) <= 64 and chunk < lines.nbytes / 20
+    assert peak < lines.nbytes + centroid_arrays + chunk

@@ -92,10 +92,14 @@ def test_pairwise_mdf_matches_scalar_kernel_in_chunks(data):
 
 
 def test_kernel_blocks_stay_within_budget_for_large_m(rng):
-    # one row of the distance block is 2m x K = 840,000 values; n only sets
-    # how many row chunks a call makes
-    n, m, k = 1_000_000, 20_000, 21
+    # the widest m whose one row of the distance block, 2m x K values, fits
+    # the budget (3,120 at K = 21 and 2^17); n only sets how many row
+    # chunks a call makes
+    k = 21
+    n, m = 1_000_000, dist._BLOCK_ELEMENTS // (2 * k)
+    assert m >= 1000
     kernel = dist.MdfKernel(np.zeros((m, k, 3)), n)
+    assert len(kernel.blocks) == 1
     assert kernel.rows * 2 * m * k <= dist._BLOCK_ELEMENTS
     assert kernel._dist.size <= dist._BLOCK_ELEMENTS
     # past one row per block the static side splits into column blocks too
@@ -109,6 +113,24 @@ def test_kernel_blocks_stay_within_budget_for_large_m(rng):
         assert [lo for lo, _ in kernel.blocks] == list(range(0, 40, 7))
         out = kernel(dist.augment(A.transpose(1, 0, 2)), np.empty((5, 40)))
     assert np.abs(out - slow).max() < 1e-9
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 7, 10])
+def test_row_chunks_are_even(rows, monkeypatch):
+    # a one-row chunk runs as a matrix-vector product, which rounds
+    # differently; an even split leaves none unless rows < 3 or n = 1
+    k, m = 3, 2
+    monkeypatch.setattr(dist, "_BLOCK_ELEMENTS", 2 * k * m * rows)
+    for n in range(1, 60):
+        kernel = dist.MdfKernel(np.zeros((m, k, 3)), n)
+        spans = kernel.chunks(n)
+        assert kernel.rows == min(rows, n)
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+        assert spans[-1][1] == n and len(spans) == -(-n // kernel.rows)
+        sizes = [hi - lo for lo, hi in spans]
+        assert max(sizes) <= kernel.rows and max(sizes) - min(sizes) <= 1
+        if n > 1 and rows >= 3:
+            assert min(sizes) >= 2
 
 
 def test_pairwise_self_distance_near_zero(rng):

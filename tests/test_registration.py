@@ -22,7 +22,7 @@ from swmparc.registration import (
 )
 from swmparc.synth import ArcSpec, generate_bundle
 
-from conftest import random_streamlines, registration_scenes
+from conftest import random_streamlines, reference_bfgs, registration_scenes
 
 
 def rand_transform(rng, max_deg=30.0, max_mm=20.0):
@@ -196,8 +196,10 @@ def test_rigid_cost_gradient_matches_central_differences(data):
     x = np.array(degrees + mm)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     cost = RigidCost(random_streamlines(rng, n, k=k), random_streamlines(rng, m, k=k))
-    value, gradient = cost.value_and_gradient(x)
-    assert value == cost(x)
+    value = cost(x)
+    evaluations = cost.evaluations
+    gradient = cost.gradient(x)
+    assert cost.evaluations == evaluations
     h = 1e-5
     numeric = np.empty(6)
     for r in range(6):
@@ -224,6 +226,53 @@ def test_sbr_same_bits_when_every_streamline_is_reversed(seed, move_seed):
     backward = sbr_rigid(np.ascontiguousarray(moving[:, ::-1]),
                          np.ascontiguousarray(static[:, ::-1]))
     assert result_bytes(backward) == result_bytes(forward)
+
+
+def test_sbr_takes_gradients_at_accepted_steps_only(monkeypatch):
+    # the criterion-4 scenes: sbr_rigid, whose line search calls the cost
+    # alone, ends at the same pose bits, cost and evaluation count as the
+    # descent that took the gradient at every trial (`reference_bfgs`), and
+    # takes fewer gradients than that descent
+    taken = [0]
+    gradient = RigidCost.gradient
+
+    def counted(self, x):
+        taken[0] += 1
+        return gradient(self, x)
+
+    cfg = RunConfig()
+    ours = theirs = 0
+    for moving, static, _ in registration_scenes(8):
+        with monkeypatch.context() as mp:
+            mp.setattr(RigidCost, "gradient", counted)
+            res = sbr_rigid(moving, static)
+        ours += taken[0]
+        taken[0] = 0
+        cost = RigidCost(moving, static)
+        x0 = np.zeros(6)
+        f0 = cost(x0)
+        x, fun, nfev = reference_bfgs(lambda x: (cost(x), cost.gradient(x)), x0, f0,
+                                      cost.gradient(x0), registration._SBR_SCALE,
+                                      cfg.max_cost_evaluations, registration.SBR_XATOL,
+                                      cfg.cost_tolerance_mm)
+        theirs += 1 + nfev
+        assert res.transform.rotation_deg.tobytes() == x[:3].tobytes()
+        assert res.transform.translation_mm.tobytes() == x[3:].tobytes()
+        assert (res.final_cost_mm, res.iterations) == (fun, cost.evaluations)
+    assert ours < theirs
+
+
+def test_gradient_needs_a_call_at_its_point(rng):
+    cost = RigidCost(random_streamlines(rng, 5), random_streamlines(rng, 6))
+    x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    with pytest.raises(ValueError):
+        cost.gradient(x)
+    cost(x)
+    cost(np.zeros(6))
+    with pytest.raises(ValueError):
+        cost.gradient(x)
+    cost(x)
+    assert cost.gradient(x).shape == (6,) and cost.evaluations == 3
 
 
 def test_sbr_xatol_saves_evaluations_at_the_same_pose(monkeypatch):
