@@ -19,6 +19,10 @@ workloads' first seed (a 2-core VM, one BLAS thread, two runs), a 1 MB block
 matmul that writes it and the passes that read it.  At 2^14 values a block
 holds one row of a 300-column call, so every chunk runs as a matrix-vector
 product: 7-12% slower than 8 MB, and the bits of all 40 such calls change.
+For the same reason a static set wider than a third of the budget's rows
+(1,040 streamlines at K = 21) is split into column blocks of that width, so
+that its chunks keep at least three rows; narrower sets, every call of the
+bench workloads among them, keep one block.
 """
 from __future__ import annotations
 
@@ -28,9 +32,12 @@ from .geometry import midpoints
 
 # Most float64 values one (K, rows, 2m) point-distance block of the fused
 # kernel may hold (1 MB, small enough to stay in cache; see the module
-# docstring); rows, and columns when one row is wider, are chunked to stay
+# docstring); rows, and columns past a third of it, are chunked to stay
 # within it.
 _BLOCK_ELEMENTS = 1 << 17
+# Fewest rows a chunk may be held to: numpy runs a one- or two-row chunk as
+# matrix-vector products, with other bits and one loop pass per row
+_MIN_ROWS = 3
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +111,9 @@ class MdfKernel:
     negative under rounding), a sqrt and a sum over K, then keeps the smaller
     of the direct and flipped halves.  Static columns are split into blocks
     and moving rows into chunks (`chunks`) so that no (K, rows, 2 columns)
-    distance block holds more than `_BLOCK_ELEMENTS` values.  The workspaces
+    distance block holds more than `_BLOCK_ELEMENTS` values; a block has at
+    most `_BLOCK_ELEMENTS` // (2 K `_MIN_ROWS`) columns, so that a chunk
+    holds at least `_MIN_ROWS` rows when the budget has room for them.  The workspaces
     are allocated once, for moving sets of up to ``n`` streamlines, and reused
     by every call, so an instance must not be shared between threads.
     """
@@ -112,7 +121,7 @@ class MdfKernel:
     def __init__(self, B: np.ndarray, n: int):
         B = np.asarray(B, dtype=np.float64)
         m, k = B.shape[:2]
-        width = min(m, max(1, _BLOCK_ELEMENTS // (2 * k)))
+        width = min(m, max(1, _BLOCK_ELEMENTS // (2 * k * _MIN_ROWS)))
         self.rows = max(1, min(n, _BLOCK_ELEMENTS // (2 * k * width)))
         self.blocks = [(lo, static_block(B[lo:lo + width])) for lo in range(0, m, width)]
         self._dist = np.empty(k * self.rows * 2 * width)

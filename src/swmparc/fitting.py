@@ -16,12 +16,16 @@ method (T. Minka, "Estimating a Gamma distribution", 2002, and "Estimating a
 Dirichlet distribution", 2000): gamma's shape is the root of
 log a - digamma(a) = log mean(y) - mean(log y), its scale mean(y) / a; beta's
 (alpha, beta) are where the digamma differences equal mean log u and
-mean log(1 - u).  Each solve stops at a 1e-12 relative step or after
-_NEWTON_MAX_ITER steps.  Burr runs a moment-initialized Nelder-Mead descent
-(`optimize.nelder_mead`, from scipy's default simplex, at most 300 cost
-evaluations, so every fit is deterministic) over
-(log c, log lam), with k at its MLE n / sum(log1p((y/lam)^c)); the descent
-ends with no fit at the first point outside the box `_sane_params` accepts.
+mean log(1 - u).  Burr maximizes its profile likelihood over (log c, log lam),
+with k at its MLE n / sum(log1p((y/lam)^c)), by Newton's method from a
+moment start: the gradient and Hessian come from the same z = c (log y -
+log lam) as the value, eigenvalues of a Hessian that is not positive definite
+are replaced by their magnitudes, and a step moves log c and log lam by at
+most 0.5 and is halved until the likelihood falls.  The Burr solve ends with
+no fit at the first point it reaches outside c and k in [1e-3, 1e3], lam in
+[SIGMA_FLOOR, 1e6].  Each solve stops at a 1e-12 relative step, Burr's also
+after a step whose predicted fall is within the likelihood's rounding, or
+after _NEWTON_MAX_ITER steps, so every fit is deterministic.
 """
 from __future__ import annotations
 
@@ -31,15 +35,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import betainc, betaln, digamma, gammainc, gammaln, ndtr, ndtri, zeta
 
-from .optimize import default_simplex, nelder_mead
-
 FAMILIES = ("normal", "log-normal", "gamma", "beta", "burr")
 
 SIGMA_FLOOR = 1e-6
 POSITIVE_SHIFT = 1e-6
-_MLE_MAX_EVALS = 300
 _NEWTON_MAX_ITER = 50
 _NEWTON_RTOL = 1e-12
+# Burr: the box its lam and c must stay in, as (log c, log lam) bounds (k
+# must stay in [1e-3, 1e3]); the longest step in log c and log lam, a factor
+# e^0.5, which keeps a solve in the basin of its start where a longer one
+# jumps past it to the box's edge; and the predicted fall, relative to
+# 1 + |nll|, below which a step is the last
+_BURR_BOX = (math.log(1e-3), math.log(1e3), math.log(SIGMA_FLOOR), math.log(1e6))
+_BURR_MAX_STEP = 0.5
+_BURR_FALL_RTOL = 1e-12
 _BISECT_TOL = 1e-8
 
 
@@ -331,8 +340,92 @@ def _fit_beta(x: np.ndarray) -> FittedDistribution | None:
     return FittedDistribution("beta", {"alpha": a, "beta": b}, math.nan, support=(lo, hi))
 
 
-class _LeftTheBox(Exception):
-    """A Burr descent reached a (c, lam) that `_sane_params` rejects."""
+def _burr_nll(logy: np.ndarray, sum_logy: float, t) -> tuple[float, tuple]:
+    """Burr XII negative log-likelihood of the samples exp(logy) at
+    t = (log c, log lam), with k at its MLE n / sum(log1p((y / lam)^c)).
+
+    Returns the value, inf where it is not a finite number, and the state
+    `_burr_derivatives` works from: z = c (log y - log lam), softplus(z) =
+    log1p((y / lam)^c) and the sum of softplus(z).
+    """
+    n = len(logy)
+    try:
+        c = math.exp(t[0])
+    except OverflowError:
+        return math.inf, ()
+    z = c * (logy - t[1])
+    softplus = np.logaddexp(0.0, z)
+    total = float(np.add.reduce(softplus))
+    # a product past the float range makes the sum inf, NaN or 0
+    if not 0.0 < total < math.inf:
+        return math.inf, ()
+    # at k's MLE, (k + 1) * total is n + total; (c - 1) sum(log y - log lam)
+    # - total is written sum(z - softplus(z)) - sum(log y - log lam), whose
+    # terms stay exact where z is large
+    val = (n * (t[0] + math.log(n / total) - t[1])
+           + float(np.add.reduce(z - softplus)) - (sum_logy - n * t[1]) - n)
+    return (-val if math.isfinite(val) else math.inf), (z, softplus, total)
+
+
+def _burr_derivatives(t, state) -> tuple[tuple[float, float], tuple[float, float, float]]:
+    """Gradient and Hessian (h00, h01, h11) of `_burr_nll` over t, from the
+    state it returned at t.
+
+    With s = sigmoid(z) = 1 - exp(-softplus(z)), r = s (1 - s), S the sum of
+    softplus(z) and q = n / S + 1, the log-likelihood's gradient is
+    (n + sum z - q sum s z, c (q sum s - n)).
+    """
+    z, softplus, total = state
+    n = len(z)
+    c = math.exp(t[0])
+    minus = -softplus
+    rest = np.exp(minus)                # 1 - s, exact where z is large
+    s = -np.expm1(minus)                # exact where s is small
+    r = s * rest
+    rz = r * z
+    sum_z = float(np.add.reduce(z))
+    sz, ss = float(np.dot(s, z)), float(np.add.reduce(s))
+    r0, r1, r2 = float(np.add.reduce(r)), float(np.add.reduce(rz)), float(np.dot(rz, z))
+    q = n / total + 1.0
+    a, b = sz / total, ss / total
+    gradient = (q * sz - n - sum_z, c * (n - q * ss))
+    hessian = (q * (r2 + sz) - sum_z - n * a * a,
+               c * (n + n * a * b - q * (r1 + ss)),
+               c * c * (q * r0 - n * b * b))
+    return gradient, hessian
+
+
+def _descent_step(gradient, hessian) -> tuple[float, float] | None:
+    """Newton step -H^-1 g for a symmetric 2 x 2 H given as (h00, h01, h11),
+    with each eigenvalue replaced by its magnitude, and at least 1e-12 of the
+    largest, where H is not positive definite.  None when H is 0 or not a
+    number."""
+    g0, g1 = gradient
+    a, b, d = hessian
+    det = a * d - b * b
+    if a > 0.0 and det > 0.0 and math.isfinite(det):
+        return (b * g1 - d * g0) / det, (b * g0 - a * g1) / det
+    mid, radius = 0.5 * (a + d), math.hypot(0.5 * (a - d), b)
+    big, small = mid + radius, mid - radius
+    floor = 1e-12 * max(abs(big), abs(small))
+    if not 0.0 < floor < math.inf:
+        return None
+    # unit eigenvector of the larger eigenvalue from the longer row of
+    # H - big I, turned a quarter; the other eigenvector is its normal
+    v0, v1 = (big - d, b) if abs(big - d) >= abs(big - a) else (b, big - a)
+    norm = math.hypot(v0, v1)
+    v0, v1 = (v0 / norm, v1 / norm) if norm > 0.0 else (1.0, 0.0)
+    along = -(v0 * g0 + v1 * g1) / max(abs(big), floor)
+    across = -(v0 * g1 - v1 * g0) / max(abs(small), floor)
+    return along * v0 - across * v1, along * v1 + across * v0
+
+
+def _in_burr_box(t, state) -> bool:
+    """c and k in [1e-3, 1e3] and lam in [SIGMA_FLOOR, 1e6] at t = (log c,
+    log lam), with k = n / sum(softplus) from `_burr_nll`'s state at t."""
+    k = len(state[0]) / state[2]
+    return (_BURR_BOX[0] <= t[0] <= _BURR_BOX[1] and _BURR_BOX[2] <= t[1] <= _BURR_BOX[3]
+            and 1e-3 <= k <= 1e3)
 
 
 def _fit_burr(x: np.ndarray) -> FittedDistribution | None:
@@ -342,47 +435,43 @@ def _fit_burr(x: np.ndarray) -> FittedDistribution | None:
     spread = float(np.std(logy))
     if spread <= 0.0:
         return None
-    lam0 = float(np.median(y))
-    c0 = max(math.pi / (math.sqrt(3.0) * spread), 0.1)
+    t = (math.log(max(math.pi / (math.sqrt(3.0) * spread), 0.1)), math.log(float(np.median(y))))
     sum_logy = float(np.add.reduce(logy))
-    n = len(y)
-
-    def log1p_sum(c, log_lam):
-        # sum of log1p((y / lam)^c), n over which is the MLE of k at (c, lam);
-        # a product past the float range makes it inf or 0, which nll rejects
-        return float(np.add.reduce(np.logaddexp(0.0, c * (logy - log_lam))))
-
-    def nll(t):
-        # a descent that reaches a (c, lam) the final check rejects ends there
-        try:
-            c = math.exp(t[0])
-            lam = math.exp(t[1])
-        except OverflowError:
-            raise _LeftTheBox from None
-        if not (1e-3 <= c <= 1e3 and lam <= 1e6):
-            raise _LeftTheBox
-        # at k's MLE, (k + 1) * log1p_sum is n + log1p_sum
-        total = log1p_sum(c, t[1])
-        if not 0.0 < total < math.inf:
-            return math.inf
-        val = (n * (math.log(c) + math.log(n / total) - t[1])
-               + (c - 1.0) * (sum_logy - n * t[1]) - total - n)
-        return -val if math.isfinite(val) else math.inf
-
-    # the products past the float range are expected: they come out inf
-    with np.errstate(over="ignore"):
-        try:
-            t, fun, _ = nelder_mead(nll, default_simplex(np.log([c0, lam0])), _MLE_MAX_EVALS,
-                                    xatol=1e-8, fatol=1e-8)
-        except _LeftTheBox:
+    # the products past the float range are expected: they come out inf, and
+    # such a trial is halved
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, state = _burr_nll(logy, sum_logy, t)
+        if not (math.isfinite(f) and _in_burr_box(t, state)):
             return None
-        if not math.isfinite(fun):
-            return None
-        c, lam = math.exp(t[0]), max(math.exp(t[1]), SIGMA_FLOOR)
-        k = n / log1p_sum(c, t[1])
-    # c and lam passed the box at every evaluated point
-    if not _sane_params(k, lo=1e-3, hi=1e3):
-        return None
+        for _ in range(_NEWTON_MAX_ITER):
+            gradient, hessian = _burr_derivatives(t, state)
+            step = _descent_step(gradient, hessian)
+            if step is None:
+                return None
+            longest = max(abs(step[0]), abs(step[1]))
+            if longest > _BURR_MAX_STEP:
+                step = (step[0] * _BURR_MAX_STEP / longest, step[1] * _BURR_MAX_STEP / longest)
+            # a step whose predicted fall is within the likelihood's rounding
+            # is the last; it is taken without a fall test, which rounding
+            # would decide
+            last = -(gradient[0] * step[0] + gradient[1] * step[1]) <= _BURR_FALL_RTOL * (1.0 + abs(f))
+            while True:
+                trial = (t[0] + step[0], t[1] + step[1])
+                f_trial, trial_state = _burr_nll(logy, sum_logy, trial)
+                accepted = f_trial < f or last and f_trial < math.inf
+                if accepted or max(abs(step[0]), abs(step[1])) <= _NEWTON_RTOL:
+                    break
+                step = (0.5 * step[0], 0.5 * step[1])
+            if not accepted:
+                break                       # no fall above rounding
+            t, f, state = trial, f_trial, trial_state
+            if not _in_burr_box(t, state):
+                return None
+            if last:
+                break
+    c, lam = math.exp(t[0]), math.exp(t[1])
+    # k at the returned (c, lam)
+    k = len(y) / state[2]
     return FittedDistribution("burr", {"c": c, "k": k, "lam": lam}, math.nan, shift=shift)
 
 

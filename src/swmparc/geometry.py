@@ -343,13 +343,19 @@ def direction_vector(points) -> np.ndarray:
     return direction_vectors(pts[None, :, :])[0]
 
 
-def _clamped_angle_deg(cosine: np.ndarray) -> np.ndarray:
-    c = np.clip(cosine, -1.0, 1.0)
-    out = np.degrees(np.arccos(c))
-    # pin exact extremes so collinear inputs give 0 / 180 exactly
-    out = np.where(c >= 1.0, 0.0, out)
-    out = np.where(c <= -1.0, 180.0, out)
-    return out
+def _angle_deg(cross: np.ndarray, dot) -> np.ndarray:
+    """Angle in degrees between vectors with cross product(s) ``cross`` (the
+    last axis) and dot product(s) ``dot``.  arctan2 keeps full precision at
+    0 and 180 degrees, where the arccos of a cosine turns rounding into about
+    1e-6 degrees."""
+    return np.degrees(np.arctan2(np.linalg.norm(cross, axis=-1), dot))
+
+
+def _row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Row-wise dot products with ``other`` (one vector or one per row), each
+    row's bits the same in a batch of one row as of n: a BLAS matrix-vector
+    product rounds a row differently depending on the batch."""
+    return np.einsum("ij,ij->i", rows, np.broadcast_to(other, rows.shape))
 
 
 def shape_angles(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -364,11 +370,8 @@ def shape_angles(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n1 = np.linalg.norm(v1, axis=1)
     n2 = np.linalg.norm(v2, axis=1)
     degenerate = (n1 <= DEGENERATE_NORM) | (n2 <= DEGENERATE_NORM)
-    denom = np.where(degenerate, 1.0, n1 * n2)
-    cosine = np.einsum("ij,ij->i", v1, v2) / denom
-    angles = _clamped_angle_deg(cosine)
-    angles = np.where(degenerate, np.nan, angles)
-    return angles, degenerate
+    angles = _angle_deg(np.cross(v1, v2), _row_dots(v1, v2))
+    return np.where(degenerate, np.nan, angles), degenerate
 
 
 def shape_angle(points) -> float:
@@ -388,13 +391,13 @@ def angle_between_planes(n1, n2) -> float:
     m2 = float(np.linalg.norm(n2))
     if m1 <= DEGENERATE_NORM or m2 <= DEGENERATE_NORM:
         raise ValueError("degenerate plane normal")
-    cosine = abs(float(np.dot(n1, n2))) / (m1 * m2)
-    return float(_clamped_angle_deg(np.asarray(cosine)))
+    return float(_angle_deg(np.cross(n1, n2), abs(float(np.dot(n1, n2)))))
 
 
 def angles_to_plane(normals: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    cosine = np.abs(normals @ reference)
-    return _clamped_angle_deg(cosine)
+    """Angles of each row's plane to the reference plane, by their normals,
+    folded to [0, 90] degrees."""
+    return _angle_deg(np.cross(normals, reference), np.abs(_row_dots(normals, reference)))
 
 
 def angle_between_directions(d1, d2) -> float:
@@ -405,8 +408,7 @@ def angle_between_directions(d1, d2) -> float:
     m2 = float(np.linalg.norm(d2))
     if m1 <= DEGENERATE_NORM or m2 <= DEGENERATE_NORM:
         raise ValueError("degenerate direction")
-    cosine = float(np.dot(d1, d2)) / (m1 * m2)
-    return float(_clamped_angle_deg(np.asarray(cosine)))
+    return float(_angle_deg(np.cross(d1, d2), float(np.dot(d1, d2))))
 
 
 def angles_to_direction(directions: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -416,7 +418,5 @@ def angles_to_direction(directions: np.ndarray, reference: np.ndarray) -> tuple[
     degenerate = norms <= DEGENERATE_NORM
     if ref_norm <= DEGENERATE_NORM:
         return np.full(len(directions), np.nan), np.ones(len(directions), dtype=bool)
-    denom = np.where(degenerate, 1.0, norms * ref_norm)
-    cosine = (directions @ reference) / denom
-    angles = _clamped_angle_deg(cosine)
+    angles = _angle_deg(np.cross(directions, reference), _row_dots(directions, reference))
     return np.where(degenerate, np.nan, angles), degenerate

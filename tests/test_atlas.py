@@ -79,6 +79,9 @@ def parity_bundles(draw):
     return Bundle("p", lines), False
 
 
+ANGLES = ("plane_angle_deg", "direction_angle_deg", "shape_angle_deg")
+
+
 @settings(max_examples=60, deadline=None)
 @given(parity_bundles())
 def test_feature_samples_are_the_members_subject_side_rows(case):
@@ -98,15 +101,19 @@ def test_feature_samples_are_the_members_subject_side_rows(case):
             assert values[f][~degenerate[f]].tobytes() == samples[f].tobytes(), f
     np.fill_diagonal(d, np.inf)
     assert d.min(axis=1).tobytes() == samples["mmea_mm"].tobytes()
-    # one candidate at a time flags the same features, with values equal up
-    # to the last bits of a matrix product over one row instead of n (an
-    # arccos near 0 degrees turns one ulp of cosine into about 1e-6 degrees)
+    # one candidate at a time flags the same features, with the angles equal
+    # bit for bit and the other values up to the last bits of the mmea
+    # kernel's matrix product over one row instead of n
     for row, line in enumerate(arr):
         fv, flagged = compute_features(line, model)
         assert flagged == tuple(f for f in FEATURE_NAMES if degenerate[f][row])
         for f in FEATURE_NAMES:
-            if f not in flagged:
-                assert fv[f] == pytest.approx(values[f][row], rel=1e-12, abs=1e-5)
+            if f in flagged:
+                continue
+            if f in ANGLES:
+                assert np.float64(fv[f]).tobytes() == values[f][row].tobytes(), f
+            else:
+                assert fv[f] == pytest.approx(values[f][row], rel=1e-12, abs=1e-5), f
 
 
 def test_feature_samples_all_within_domains():

@@ -92,34 +92,60 @@ def test_pairwise_mdf_matches_scalar_kernel_in_chunks(data):
 
 
 def test_kernel_blocks_stay_within_budget_for_large_m(rng):
-    # the widest m whose one row of the distance block, 2m x K values, fits
-    # the budget (3,120 at K = 21 and 2^17); n only sets how many row
-    # chunks a call makes
+    # the widest m whose three rows of the distance block, 3 x 2m x K values,
+    # fit the budget (1,040 at K = 21 and 2^17) keeps one column block; past
+    # it the static side splits into blocks of that width, three rows a
+    # chunk.  n only sets how many row chunks a call makes
     k = 21
-    n, m = 1_000_000, dist._BLOCK_ELEMENTS // (2 * k)
-    assert m >= 1000
-    kernel = dist.MdfKernel(np.zeros((m, k, 3)), n)
-    assert len(kernel.blocks) == 1
-    assert kernel.rows * 2 * m * k <= dist._BLOCK_ELEMENTS
-    assert kernel._dist.size <= dist._BLOCK_ELEMENTS
-    # past one row per block the static side splits into column blocks too
+    n, width = 1_000_000, dist._BLOCK_ELEMENTS // (2 * k * 3)
+    assert width == 1040
+    for m, blocks in ((width, 1), (3 * width, 3), (3 * width + 1, 4)):
+        kernel = dist.MdfKernel(np.zeros((m, k, 3)), n)
+        assert [lo for lo, _ in kernel.blocks] == list(range(0, m, width))[:blocks]
+        assert kernel.rows == 3
+        assert kernel.rows * 2 * width * k <= dist._BLOCK_ELEMENTS
+        assert kernel._dist.size <= dist._BLOCK_ELEMENTS
+    # under a budget of three rows of seven columns, blocks of seven
     A = random_streamlines(rng, 5, k=k)
     B = random_streamlines(rng, 40, k=k)
     slow = np.array([[mdf(a, b) for b in B] for a in A])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dist, "_BLOCK_ELEMENTS", 2 * k * 7)
+        mp.setattr(dist, "_BLOCK_ELEMENTS", 2 * k * 3 * 7)
         kernel = dist.MdfKernel(B, len(A))
-        assert kernel._dist.size <= 2 * k * 7
+        assert kernel._dist.size <= 2 * k * 3 * 7
         assert [lo for lo, _ in kernel.blocks] == list(range(0, 40, 7))
+        assert kernel.rows == 3
         out = kernel(dist.augment(A.transpose(1, 0, 2)), np.empty((5, 40)))
     assert np.abs(out - slow).max() < 1e-9
+
+
+@pytest.mark.parametrize("m", [1041, 1561, 5000, 20000])
+def test_wide_static_sets_keep_three_row_chunks(m, rng):
+    # past 1,040 static streamlines (K = 21) the column blocks narrow so that
+    # a chunk may hold three rows, and seven rows split 2 + 2 + 3 with no
+    # one-row chunk; the distances stay those of `mdf`
+    k = 21
+    A = random_streamlines(rng, 7, k=k)
+    B = random_streamlines(rng, m, k=k)
+    kernel = dist.MdfKernel(B, len(A))
+    assert kernel.rows == 3
+    assert [hi - lo for lo, hi in kernel.chunks(len(A))] == [2, 2, 3]
+    out = pairwise_mdf(A, B)
+    for a, row in zip(A, out):
+        direct = np.linalg.norm(B - a, axis=2).mean(axis=1)
+        flipped = np.linalg.norm(B[:, ::-1] - a, axis=2).mean(axis=1)
+        assert np.abs(row - np.minimum(direct, flipped)).max() < 1e-9
+    for i, j in ((0, 0), (3, m // 2), (6, m - 1)):
+        assert out[i, j] == pytest.approx(mdf(A[i], B[j]), abs=1e-9)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7, 10])
 def test_row_chunks_are_even(rows, monkeypatch):
     # a one-row chunk runs as a matrix-vector product, which rounds
-    # differently; an even split leaves none unless rows < 3 or n = 1
-    k, m = 3, 2
+    # differently; an even split leaves none unless rows < 3 or n = 1.  One
+    # static streamline, since a wider set would narrow its column blocks
+    # to leave three rows a chunk
+    k, m = 3, 1
     monkeypatch.setattr(dist, "_BLOCK_ELEMENTS", 2 * k * m * rows)
     for n in range(1, 60):
         kernel = dist.MdfKernel(np.zeros((m, k, 3)), n)

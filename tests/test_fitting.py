@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import betaln, digamma, gammaln
 
@@ -25,7 +27,6 @@ from swmparc.fitting import (
     select_best,
     sse_against_histogram,
 )
-from swmparc.optimize import default_simplex, nelder_mead
 
 from conftest import fit_all_families
 
@@ -219,28 +220,6 @@ def test_sse_uses_given_samples(rng):
     assert sse_against_histogram(far, empirical_histogram(x)) > good
 
 
-# ---------------------------------------------------------------------------
-# the Burr fit with scipy's Nelder-Mead in place of `optimize.nelder_mead`
-
-def scipy_descent(evaluated):
-    """Stand-in for `nelder_mead` that runs scipy from its default simplex
-    with the budget and tolerances of the Burr fit, and logs every
-    (point, cost) in ``evaluated``."""
-    def descent(f, simplex, maxfev, xatol, fatol):
-        x0 = np.asarray(simplex[0], dtype=np.float64)
-        assert simplex == default_simplex(x0)
-
-        def logged(t):
-            cost = f(t)
-            evaluated.append((t.copy(), cost))
-            return cost
-
-        res = minimize(logged, x0, method="Nelder-Mead",
-                       options={"maxfev": 300, "xatol": 1e-8, "fatol": 1e-8})
-        return res.x, res.fun, res.nfev
-    return descent
-
-
 def draw_samples(family, n, seed):
     rng = np.random.default_rng(seed)
     if family == "normal":
@@ -255,18 +234,63 @@ def draw_samples(family, n, seed):
     return lam * ((1.0 - rng.uniform(size=n)) ** (-1.0 / k) - 1.0) ** (1.0 / c)
 
 
+def burr_profile(samples):
+    """The profile negative log-likelihood over (log c, log lam) that the
+    Burr fit of ``samples`` maximizes, as a function of t alone, and the
+    fit's moment start."""
+    y = samples + _positive_shift(samples)
+    logy = np.log(y)
+    sum_logy = float(np.add.reduce(logy))
+    spread = float(np.std(logy))
+    start = (math.log(max(math.pi / (math.sqrt(3.0) * spread), 0.1)), math.log(float(np.median(y))))
+
+    def nll(t):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fitting._burr_nll(logy, sum_logy, tuple(float(v) for v in t))
+    return nll, start
+
+
+def in_burr_box(samples, t):
+    """Whether c and k lie in [1e-3, 1e3] and lam in [1e-6, 1e6] at
+    t = (log c, log lam), with k at its MLE."""
+    y = samples + _positive_shift(samples)
+    c, lam = np.exp(t)
+    k = len(y) / float(np.logaddexp(0.0, c * np.log(y / lam)).sum())
+    return 1e-3 <= c <= 1e3 and 1e-3 <= k <= 1e3 and 1e-6 <= lam <= 1e6
+
+
+def burr_point(fit):
+    return math.log(fit.params["c"]), math.log(fit.params["lam"])
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_fits_match_scipy_descent(family, monkeypatch):
+    """The Burr solve against scipy's Nelder-Mead on the same profile
+    likelihood from the same start, with the budget and tolerances of the
+    descent the solve replaced: where the descent ends inside the box, the
+    fit, or where there is none the point outside the box where the solve
+    ended, is at least as likely."""
+    burr_nll = fitting._burr_nll
+    compared = 0
     for case in range(12):
         samples = draw_samples(family, [8, 9, 30, 200][case % 4], seed=1000 * case + 7)
-        ours_best = select_best(samples)
-        ours_all = fit_all_families(samples)
+        profile, start = burr_profile(samples)
         evaluated = []
         with monkeypatch.context() as m:
-            m.setattr(fitting, "nelder_mead", scipy_descent(evaluated))
-            assert select_best(samples) == ours_best
-            assert fit_all_families(samples) == ours_all
-        assert evaluated
+            m.setattr(fitting, "_burr_nll", lambda logy, s, t: evaluated.append(t) or burr_nll(logy, s, t))
+            fit = fit_family(samples, "burr")
+        with np.errstate(all="ignore"):
+            res = minimize(lambda t: profile(t)[0], np.array(start), method="Nelder-Mead",
+                           options={"maxfev": 300, "xatol": 1e-8, "fatol": 1e-8})
+        if fit is None:
+            end = evaluated[-1]
+            assert not in_burr_box(samples, end), (case, end)
+        else:
+            end = burr_point(fit)
+        if in_burr_box(samples, res.x):
+            assert profile(end)[0] <= res.fun + 1e-9 * (1.0 + abs(res.fun)), (case, end, res.x)
+            compared += 1
+    assert compared >= 4
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +327,18 @@ def full_nll(family, y):
 
 
 def burr_3d_descent(x):
-    """The Burr fit as a descent over (log c, log k, log lam) from k = 1, as
-    the fit was before k was profiled out; None where its parameters fail
-    `_sane_params`."""
+    """The Burr fit as scipy's Nelder-Mead over (log c, log k, log lam) from
+    k = 1, as the fit was before k was profiled out; None where its
+    parameters fail `_sane_params`."""
     y = x + _positive_shift(x)
     spread = float(np.std(np.log(y)))
     c0 = max(math.pi / (math.sqrt(3.0) * spread), 0.1)
-    t, fun, _ = nelder_mead(full_nll("burr", y), default_simplex(np.log([c0, 1.0, np.median(y)])),
-                            300, 1e-8, 1e-8)
-    c, k, lam = np.exp(t)
-    if not math.isfinite(fun) or not (_sane_params(c, k, lo=1e-3, hi=1e3) and _sane_params(lam)):
+    res = minimize(full_nll("burr", y), np.log([c0, 1.0, np.median(y)]), method="Nelder-Mead",
+                   options={"maxfev": 300, "xatol": 1e-8, "fatol": 1e-8})
+    c, k, lam = np.exp(res.x)
+    if not math.isfinite(res.fun) or not (_sane_params(c, k, lo=1e-3, hi=1e3) and _sane_params(lam)):
         return None
-    return t
+    return res.x
 
 
 PARAMS = {"gamma": ("shape", "scale"), "beta": ("alpha", "beta"), "burr": ("c", "k", "lam")}
@@ -349,7 +373,7 @@ def test_profiled_fits_are_optima_of_the_full_likelihood(family):
 
 
 # ---------------------------------------------------------------------------
-# the Newton solves and the Burr descent at their limits
+# the Newton solves at their limits
 
 DEGENERATE = {
     "rounding spread": np.full(11, 180.0),
@@ -358,11 +382,21 @@ DEGENERATE = {
 }
 
 
+def count_newton_steps(monkeypatch):
+    """A list that gets one entry per Newton step of any solve: gamma and
+    beta take one digamma per step, Burr one `_burr_derivatives`."""
+    steps = []
+    burr_derivatives = fitting._burr_derivatives
+    monkeypatch.setattr(fitting, "digamma", lambda v: steps.append(1) or digamma(v))
+    monkeypatch.setattr(fitting, "_burr_derivatives",
+                        lambda t, state: steps.append(1) or burr_derivatives(t, state))
+    return steps
+
+
 @pytest.mark.parametrize("name", DEGENERATE)
 def test_newton_solves_end_within_their_cap_on_degenerate_sets(name, monkeypatch):
-    steps = []
-    monkeypatch.setattr(fitting, "digamma", lambda v: steps.append(1) or digamma(v))
-    for family in ("gamma", "beta"):
+    steps = count_newton_steps(monkeypatch)
+    for family in ("gamma", "beta", "burr"):
         steps.clear()
         fit = fit_family(DEGENERATE[name], family)
         assert len(steps) <= fitting._NEWTON_MAX_ITER
@@ -371,28 +405,90 @@ def test_newton_solves_end_within_their_cap_on_degenerate_sets(name, monkeypatch
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_newton_solves_converge_before_their_cap(family, monkeypatch):
-    steps = []
-    monkeypatch.setattr(fitting, "digamma", lambda v: steps.append(1) or digamma(v))
+    steps = count_newton_steps(monkeypatch)
     for case in range(12):
         samples = draw_samples(family, [8, 9, 30, 200][case % 4], seed=1000 * case + 7)
-        for fitted in ("gamma", "beta"):
+        for fitted in ("gamma", "beta", "burr"):
             steps.clear()
             fit_family(samples, fitted)
             assert 0 < len(steps) < fitting._NEWTON_MAX_ITER // 2, (fitted, case, len(steps))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FAMILIES), st.sampled_from([8, 30, 200]), st.integers(0, 2**16),
+       st.floats(-1.5, 1.5), st.floats(-1.0, 1.0))
+def test_burr_derivatives_match_central_differences(family, n, seed, du, dv):
+    # around the fit's start: the gradient against central differences of
+    # the profile likelihood, the Hessian against those of the gradient
+    profile, start = burr_profile(draw_samples(family, n, seed))
+    t = np.array(start) + [du, dv]
+    f, state = profile(t)
+    assume(math.isfinite(f))
+    gradient, (h00, h01, h11) = fitting._burr_derivatives(tuple(t), state)
+    hessian = np.array([[h00, h01], [h01, h11]])
+    h = 1e-6
+    for i, e in enumerate(np.eye(2) * h):
+        plus, minus = profile(t + e), profile(t - e)
+        slope = (plus[0] - minus[0]) / (2.0 * h)
+        assert gradient[i] == pytest.approx(slope, rel=1e-5, abs=1e-6 * (1.0 + abs(f)))
+        bend = (np.array(fitting._burr_derivatives(tuple(t + e), plus[1])[0])
+                - np.array(fitting._burr_derivatives(tuple(t - e), minus[1])[0])) / (2.0 * h)
+        assert hessian[i] == pytest.approx(bend, rel=1e-5, abs=1e-6 * (1.0 + abs(f)))
+
+
+def test_returned_burr_fits_are_stationary():
+    fitted = 0
+    cases = [draw_samples(family, [8, 9, 30, 200][case % 4], seed=1000 * case + 7)
+             for family in FAMILIES for case in range(12)]
+    for samples in cases + list(DEGENERATE.values()):
+        fit = fit_family(samples, "burr")
+        if fit is None:
+            continue
+        profile, _ = burr_profile(samples)
+        t = burr_point(fit)
+        f, state = profile(t)
+        (g0, g1), (h00, h01, h11) = fitting._burr_derivatives(t, state)
+        assert max(abs(g0), abs(g1)) <= 1e-6 * (1.0 + abs(f)), (g0, g1)
+        assert h00 > 0.0 and h00 * h11 - h01 * h01 > 0.0, (h00, h01, h11)
+        fitted += 1
+    assert fitted >= 20
+
+
+def test_burr_parameters_agree_with_the_box():
+    # positive samples near SIGMA_FLOOR: a fit keeps lam inside the box and
+    # has k at the lam it returns (the median of those around 1e-8 starts the
+    # solve below the box, so they get none)
+    fitted = 0
+    for scale in (1e-8, 1e-7, 1e-6, 1e-5):
+        rng = np.random.default_rng(11)
+        for spread in (0.05, 0.3, 1.0, 3.0):
+            x = scale * rng.lognormal(0.0, spread, 40)
+            fit = fit_family(x, "burr")
+            if fit is None:
+                continue
+            c, k, lam = fit.params["c"], fit.params["k"], fit.params["lam"]
+            assert 1e-3 <= c <= 1e3 and fitting.SIGMA_FLOOR <= lam <= 1e6
+            y = x + fit.shift
+            assert k == pytest.approx(len(y) / float(np.log1p((y / lam) ** c).sum()), rel=1e-9)
+            fitted += 1
+    assert fitted >= 3
 
 
 def test_burr_descent_that_leaves_the_sane_box_ends_without_a_fit(monkeypatch):
     # a Pareto sample's likelihood grows without bound as c goes to infinity
     # with lam at the smallest sample
     x = 3.0 * (1.0 + np.random.default_rng(0).pareto(1.5, 30))
-    evaluated = []
-
-    def logged(f, simplex, maxfev, xatol, fatol):
-        return nelder_mead(lambda t: evaluated.append(np.exp(t)) or f(t), simplex, maxfev, xatol, fatol)
-
-    monkeypatch.setattr(fitting, "nelder_mead", logged)
+    profile, _ = burr_profile(x)
+    evaluated, stepped_from = [], []
+    burr_nll, burr_derivatives = fitting._burr_nll, fitting._burr_derivatives
+    monkeypatch.setattr(fitting, "_burr_nll", lambda logy, s, t: evaluated.append(t) or burr_nll(logy, s, t))
+    monkeypatch.setattr(fitting, "_burr_derivatives",
+                        lambda t, state: stepped_from.append(t) or burr_derivatives(t, state))
     assert fit_family(x, "burr") is None
-    assert len(evaluated) < 300
-    (c, lam), inside = evaluated[-1], evaluated[:-1]
-    assert not (1e-3 <= c <= 1e3 and lam <= 1e6)
-    assert all(1e-3 <= c <= 1e3 and lam <= 1e6 for c, lam in inside)
+    assert 0 < len(stepped_from) < fitting._NEWTON_MAX_ITER
+    # every point the solve stepped from lies in the box; the last point it
+    # reached, more likely than the one before, does not
+    assert all(in_burr_box(x, t) for t in stepped_from)
+    end = evaluated[-1]
+    assert not in_burr_box(x, end) and np.exp(end[0]) > 1e3
+    assert profile(end)[0] < profile(stepped_from[-1])[0]

@@ -402,14 +402,13 @@ def test_features_invariant_under_one_rigid_motion(seed, angles, shift):
                              compute_features(apply_rigid(motion, candidate), moved_model))
 
     # a straight line: its plane normal is degenerate before and after the
-    # move.  Its shape angle is 180 degrees, where arccos turns rounding into
-    # ~1e-6 degrees, so that value is only checked to 1e-5 degrees
+    # move, and its shape angle is 180 degrees to the same 1e-7 degrees
     line = np.linspace(0.0, 1.0, 21)[:, None] * rng.uniform(-30.0, 30.0, 3) + rng.uniform(-5, 5, 3)
     before = compute_features(line, model)
     after = compute_features(apply_rigid(motion, line), moved_model)
     assert "plane_angle_deg" in before[1]
-    assert_same_features(before, after, skip=("shape_angle_deg",))
-    assert after[0]["shape_angle_deg"] == pytest.approx(before[0]["shape_angle_deg"], abs=1e-5)
+    assert_same_features(before, after)
+    assert before[0]["shape_angle_deg"] == pytest.approx(180.0, rel=0.0, abs=1e-7)
 
 
 @settings(max_examples=10, deadline=None)
