@@ -410,8 +410,8 @@ def _descent_step(gradient, hessian) -> tuple[float, float] | None:
     floor = 1e-12 * max(abs(big), abs(small))
     if not 0.0 < floor < math.inf:
         return None
-    # unit eigenvector of the larger eigenvalue from the longer row of
-    # H - big I, turned a quarter; the other eigenvector is its normal
+    # unit eigenvector of the larger eigenvalue: the longer row of H - big I
+    # turned a quarter; the other eigenvector is its normal
     v0, v1 = (big - d, b) if abs(big - d) >= abs(big - a) else (b, big - a)
     norm = math.hypot(v0, v1)
     v0, v1 = (v0 / norm, v1 / norm) if norm > 0.0 else (1.0, 0.0)
@@ -454,7 +454,8 @@ def _fit_burr(x: np.ndarray) -> FittedDistribution | None:
             # a step whose predicted fall is within the likelihood's rounding
             # is the last; it is taken without a fall test, which rounding
             # would decide
-            last = -(gradient[0] * step[0] + gradient[1] * step[1]) <= _BURR_FALL_RTOL * (1.0 + abs(f))
+            fall = -(gradient[0] * step[0] + gradient[1] * step[1])
+            last = fall <= _BURR_FALL_RTOL * (1.0 + abs(f))
             while True:
                 trial = (t[0] + step[0], t[1] + step[1])
                 f_trial, trial_state = _burr_nll(logy, sum_logy, trial)

@@ -343,19 +343,20 @@ def direction_vector(points) -> np.ndarray:
     return direction_vectors(pts[None, :, :])[0]
 
 
-def _angle_deg(cross: np.ndarray, dot) -> np.ndarray:
-    """Angle in degrees between vectors with cross product(s) ``cross`` (the
-    last axis) and dot product(s) ``dot``.  arctan2 keeps full precision at
-    0 and 180 degrees, where the arccos of a cosine turns rounding into about
-    1e-6 degrees."""
-    return np.degrees(np.arctan2(np.linalg.norm(cross, axis=-1), dot))
-
-
-def _row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Row-wise dot products with ``other`` (one vector or one per row), each
-    row's bits the same in a batch of one row as of n: a BLAS matrix-vector
-    product rounds a row differently depending on the batch."""
-    return np.einsum("ij,ij->i", rows, np.broadcast_to(other, rows.shape))
+def _angles_deg(a: np.ndarray, b: np.ndarray, fold: bool = False) -> np.ndarray:
+    """Angles in degrees between the vectors on the last axis of ``a`` and
+    ``b`` (``b`` may be one vector for all), as arctan2(|a x b|, a.b), which
+    keeps full precision at 0 and 180 degrees where the arccos of a cosine
+    turns rounding into about 1e-6 degrees.  The arithmetic is elementwise, so
+    a row's bits do not depend on how many rows share the call, as those of a
+    BLAS matrix-vector product do.  ``fold`` takes |a.b|: the angle between
+    the planes with normals a and b, in [0, 90] degrees."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    cross = np.sqrt((a1 * b2 - a2 * b1) ** 2 + (a2 * b0 - a0 * b2) ** 2 + (a0 * b1 - a1 * b0) ** 2)
+    dot = a0 * b0 + a1 * b1 + a2 * b2
+    return np.degrees(np.arctan2(cross, np.abs(dot) if fold else dot))
 
 
 def shape_angles(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -370,8 +371,7 @@ def shape_angles(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n1 = np.linalg.norm(v1, axis=1)
     n2 = np.linalg.norm(v2, axis=1)
     degenerate = (n1 <= DEGENERATE_NORM) | (n2 <= DEGENERATE_NORM)
-    angles = _angle_deg(np.cross(v1, v2), _row_dots(v1, v2))
-    return np.where(degenerate, np.nan, angles), degenerate
+    return np.where(degenerate, np.nan, _angles_deg(v1, v2)), degenerate
 
 
 def shape_angle(points) -> float:
@@ -391,13 +391,13 @@ def angle_between_planes(n1, n2) -> float:
     m2 = float(np.linalg.norm(n2))
     if m1 <= DEGENERATE_NORM or m2 <= DEGENERATE_NORM:
         raise ValueError("degenerate plane normal")
-    return float(_angle_deg(np.cross(n1, n2), abs(float(np.dot(n1, n2)))))
+    return float(_angles_deg(n1, n2, fold=True))
 
 
 def angles_to_plane(normals: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Angles of each row's plane to the reference plane, by their normals,
     folded to [0, 90] degrees."""
-    return _angle_deg(np.cross(normals, reference), np.abs(_row_dots(normals, reference)))
+    return _angles_deg(normals, reference, fold=True)
 
 
 def angle_between_directions(d1, d2) -> float:
@@ -408,7 +408,7 @@ def angle_between_directions(d1, d2) -> float:
     m2 = float(np.linalg.norm(d2))
     if m1 <= DEGENERATE_NORM or m2 <= DEGENERATE_NORM:
         raise ValueError("degenerate direction")
-    return float(_angle_deg(np.cross(d1, d2), float(np.dot(d1, d2))))
+    return float(_angles_deg(d1, d2))
 
 
 def angles_to_direction(directions: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -418,5 +418,4 @@ def angles_to_direction(directions: np.ndarray, reference: np.ndarray) -> tuple[
     degenerate = norms <= DEGENERATE_NORM
     if ref_norm <= DEGENERATE_NORM:
         return np.full(len(directions), np.nan), np.ones(len(directions), dtype=bool)
-    angles = _angle_deg(np.cross(directions, reference), _row_dots(directions, reference))
-    return np.where(degenerate, np.nan, angles), degenerate
+    return np.where(degenerate, np.nan, _angles_deg(directions, reference)), degenerate

@@ -277,7 +277,8 @@ def test_fits_match_scipy_descent(family, monkeypatch):
         profile, start = burr_profile(samples)
         evaluated = []
         with monkeypatch.context() as m:
-            m.setattr(fitting, "_burr_nll", lambda logy, s, t: evaluated.append(t) or burr_nll(logy, s, t))
+            m.setattr(fitting, "_burr_nll",
+                      lambda logy, s, t: evaluated.append(t) or burr_nll(logy, s, t))
             fit = fit_family(samples, "burr")
         with np.errstate(all="ignore"):
             res = minimize(lambda t: profile(t)[0], np.array(start), method="Nelder-Mead",
