@@ -439,7 +439,7 @@ def _fit_burr(x: np.ndarray) -> FittedDistribution | None:
     sum_logy = float(np.add.reduce(logy))
     # the products past the float range are expected: they come out inf, and
     # such a trial is halved
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         f, state = _burr_nll(logy, sum_logy, t)
         if not (math.isfinite(f) and _in_burr_box(t, state)):
             return None
