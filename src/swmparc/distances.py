@@ -35,7 +35,8 @@ from .geometry import midpoints
 # docstring); rows, and columns past a third of it, are chunked to stay
 # within it.
 _BLOCK_ELEMENTS = 1 << 17
-# Fewest rows a chunk may be held to: numpy runs a one- or two-row chunk as
+# Fewest rows a chunk may be held to: below three, the even split of
+# `MdfKernel.chunks` leaves one-row chunks, which numpy runs as
 # matrix-vector products, with other bits and one loop pass per row
 _MIN_ROWS = 3
 
