@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clustering import quickbundles
-from .config import FEATURE_NAMES
+from .config import FEATURE_NAMES, RunConfig
 from .distances import pairwise_mmea
 from .fitting import FittedDistribution, select_best
 from .geometry import (
@@ -89,14 +89,22 @@ class BundleModel:
 
 @dataclass(frozen=True)
 class AtlasModel:
+    """Bundle models of one K, the points per streamline of every bundle."""
+
     bundles: tuple[BundleModel, ...]
-    resample_k: int
-    format_version: str = "1"
 
     def __post_init__(self):
+        if not self.bundles:
+            raise ValueError("atlas needs at least one bundle")
         ids = [m.id for m in self.bundles]
         if len(set(ids)) != len(ids):
-            raise ValueError("bundle ids must be unique")
+            raise ValueError("duplicate bundle id")
+        if len({m.bundle.streamlines.shape[1] for m in self.bundles}) != 1:
+            raise ValueError("atlas bundles must share one number of points per streamline")
+
+    @property
+    def resample_k(self) -> int:
+        return self.bundles[0].bundle.streamlines.shape[1]
 
     def bundle_map(self) -> dict[str, BundleModel]:
         return {m.id: m for m in self.bundles}
@@ -196,19 +204,18 @@ def _uninformative_interval(feature: str) -> FeatureInterval:
 
 
 def feature_interval(
-    feature: str,
-    samples: np.ndarray,
-    low_q: float = 0.1,
-    high_q: float = 0.9,
-    source: str = "fitted",
-    min_fit_samples: int = 8,
+    feature: str, samples: np.ndarray, config: RunConfig | None = None,
 ) -> tuple[FeatureInterval, FittedDistribution | None]:
     """Threshold interval for one feature from its sample array.
 
-    Fitted-quantile thresholds when enough samples and some family fits;
-    empirical deciles otherwise.  Features with fewer than 2 valid samples
-    carry no information and get a full-domain auto-pass interval.
+    The config's `decile_low` and `decile_high` quantiles of the best fit
+    (`threshold_source` "fitted", at least `min_fit_samples` samples and some
+    family fits); empirical quantiles otherwise.  Features with fewer than 2
+    valid samples carry no information and get a full-domain auto-pass
+    interval.
     """
+    cfg = config or RunConfig()
+    low_q, high_q = cfg.decile_low, cfg.decile_high
     samples = np.asarray(samples, dtype=np.float64)
     if len(samples) < 2:
         return _uninformative_interval(feature), None
@@ -218,8 +225,8 @@ def feature_interval(
             return FeatureInterval(0.0, interval.high, interval.source)
         return interval
 
-    if source == "fitted" and len(samples) >= min_fit_samples:
-        fit = select_best(samples, min_fit_samples)
+    if cfg.threshold_source == "fitted" and len(samples) >= cfg.min_fit_samples:
+        fit = select_best(samples, cfg.min_fit_samples)
         if fit is not None:
             low = fit.quantile(low_q)
             high = fit.quantile(high_q)
@@ -232,43 +239,21 @@ def feature_interval(
     return finalize(_empirical_interval(samples, low_q, high_q)), None
 
 
-def build_bundle_model(
-    bundle: Bundle,
-    low_q: float = 0.1,
-    high_q: float = 0.9,
-    threshold_source: str = "fitted",
-    min_fit_samples: int = 8,
-) -> BundleModel:
-    """Analyze one atlas bundle into a BundleModel."""
+def build_bundle_model(bundle: Bundle, config: RunConfig | None = None) -> BundleModel:
+    """Analyze one atlas bundle into a BundleModel, its intervals set by the
+    config's deciles, `threshold_source` and `min_fit_samples`."""
     model = _reference_model(bundle)
     samples = compute_feature_samples(bundle, model)
     thresholds: dict[str, FeatureInterval] = {}
     fits: dict[str, FittedDistribution | None] = {}
     for feature in FEATURE_NAMES:
-        thresholds[feature], fits[feature] = feature_interval(
-            feature, samples[feature], low_q, high_q,
-            source=threshold_source, min_fit_samples=min_fit_samples,
-        )
+        thresholds[feature], fits[feature] = feature_interval(feature, samples[feature], config)
     return replace(model, thresholds=thresholds, fits=fits)
 
 
-def build_atlas(
-    bundles,
-    resample_k: int = 21,
-    low_q: float = 0.1,
-    high_q: float = 0.9,
-    threshold_source: str = "fitted",
-    min_fit_samples: int = 8,
-) -> AtlasModel:
-    """Build models for a full bundle set."""
-    bundles = list(bundles)
-    if not bundles:
-        raise ValueError("atlas needs at least one bundle")
-    ids = [b.id for b in bundles]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate bundle id")
-    models = tuple(
-        build_bundle_model(b, low_q, high_q, threshold_source, min_fit_samples)
-        for b in bundles
-    )
-    return AtlasModel(bundles=models, resample_k=resample_k)
+def build_atlas(bundles, config: RunConfig | None = None) -> AtlasModel:
+    """Build models for a full bundle set, each by `build_bundle_model` with
+    the one config (`RunConfig()` when None).  The atlas's K is the bundles'
+    points per streamline, which must be the same for all of them;
+    `config.resample_k` is read by whoever resamples the bundles, not here."""
+    return AtlasModel(bundles=tuple(build_bundle_model(b, config) for b in bundles))

@@ -114,14 +114,7 @@ def cmd_build_atlas(args) -> int:
         if len(arr) < 2:
             raise CliInputError(f"{path}: atlas bundle too small")
         bundles.append(Bundle(name[:-4], arr))
-    atlas = build_atlas(
-        bundles,
-        resample_k=cfg.resample_k,
-        low_q=cfg.decile_low,
-        high_q=cfg.decile_high,
-        threshold_source=cfg.threshold_source,
-        min_fit_samples=cfg.min_fit_samples,
-    )
+    atlas = build_atlas(bundles, cfg)
     write_atlas(atlas, args.out)
     cfg.save(os.path.join(args.out, "run_config.json"))
     for model in atlas.bundles:
@@ -143,6 +136,10 @@ def cmd_parcellate(args) -> int:
         atlas = read_atlas(args.atlas)
     except AtlasFormatError as e:
         raise CliInputError(str(e)) from e
+    if cfg.resample_k != atlas.resample_k:
+        _say(f"resample_k {cfg.resample_k} of the config is ignored: "
+             f"the atlas has {atlas.resample_k} points per streamline")
+        cfg = replace(cfg, resample_k=atlas.resample_k)
     affine = None
     if args.affine is not None:
         try:
@@ -184,7 +181,7 @@ def cmd_evaluate(args) -> int:
     labels = np.asarray(truth)
     subject = None
     if args.subject is not None:
-        k = int(result.config.get("resample_k", 21))
+        k = int(result.config.get("resample_k", RunConfig.resample_k))
         subject = _load_subject(args.subject, k)
         if len(subject) != result.subject_count:
             raise CliInputError(

@@ -1,5 +1,12 @@
-"""Run configuration: every pipeline constant, overridable and echoed into
-outputs so any run can be replayed exactly."""
+"""Run configuration: every run parameter a command reads, overridable by
+``--config`` and echoed into outputs so any run can be replayed exactly.
+
+`build-atlas` reads `resample_k`, the deciles, `threshold_source` and
+`min_fit_samples`; `parcellate` the QuickBundles radii, `neighborhood_factor`,
+`containment_rule`, `features` and `winner_take_all`, at the atlas's K;
+`evaluate` reads `ba_threshold_mm` and `pbe_min_counts`.  Settings that change
+no result or that every run shares are constants beside the code using them.
+"""
 from __future__ import annotations
 
 import json
@@ -36,14 +43,11 @@ class RunConfig:
     threshold_source: str = "fitted"       # "fitted" | "empirical" deciles
     features: tuple[str, ...] = FEATURE_NAMES
     winner_take_all: bool = False
-    grid_cell_mm: float = 20.0
-    max_cost_evaluations: int = 500        # per rigid registration
-    cost_tolerance_mm: float = 1e-3
     pbe_min_counts: tuple[int, int] = (1, 10)
     min_fit_samples: int = 8
 
     def __post_init__(self):
-        for name, least in (("resample_k", 3), ("max_cost_evaluations", 1), ("min_fit_samples", 2)):
+        for name, least in (("resample_k", 3), ("min_fit_samples", 2)):
             value = getattr(self, name)
             if not (_is_number(value, Integral) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}")
@@ -67,13 +71,10 @@ class RunConfig:
         if not isinstance(self.winner_take_all, bool):
             raise ValueError("winner_take_all must be true or false")
         for name in ("neighborhood_factor", "qb_threshold_global_mm", "qb_threshold_local_mm",
-                     "ba_threshold_mm", "grid_cell_mm"):
+                     "ba_threshold_mm"):
             value = getattr(self, name)
             if not (_is_number(value) and 0.0 < value < math.inf):
                 raise ValueError(f"{name} must be a positive finite number")
-        tol = self.cost_tolerance_mm
-        if not (_is_number(tol) and tol >= 0.0):
-            raise ValueError("cost_tolerance_mm must be a number >= 0")
         counts = self.pbe_min_counts
         if not (isinstance(counts, (tuple, list)) and len(counts) == 2
                 and all(_is_number(c, Integral) and c >= 1 for c in counts)):

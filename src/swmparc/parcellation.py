@@ -212,7 +212,7 @@ def global_align(
     subject_clusters = quickbundles(subject_streamlines, cfg.qb_threshold_global_mm)
     atlas_kept = registration_clusters(atlas_clusters)
     subject_kept = registration_clusters(subject_clusters)
-    registration = sbr_rigid(cluster_centroids(subject_kept), cluster_centroids(atlas_kept), cfg)
+    registration = sbr_rigid(cluster_centroids(subject_kept), cluster_centroids(atlas_kept))
     aligned = apply_rigid(registration.transform, subject_streamlines)
     sizes = GlobalCentroids(len(subject_kept), len(subject_clusters),
                             len(atlas_kept), len(atlas_clusters))
@@ -259,8 +259,8 @@ def parcellate(
 
     aligned, global_reg, global_centroids = global_align(atlas, subject_streamlines, cfg)
     atlas_all = atlas.all_streamlines()
-    atlas_grid = StreamlineGrid(atlas_all, cfg.grid_cell_mm)
-    subject_grid = StreamlineGrid(aligned, cfg.grid_cell_mm)
+    atlas_grid = StreamlineGrid(atlas_all)
+    subject_grid = StreamlineGrid(aligned)
 
     results = [parcellate_bundle(model, aligned, atlas_all, cfg,
                                  subject_grid=subject_grid, atlas_grid=atlas_grid)

@@ -25,6 +25,12 @@ from .spatial import StreamlineGrid
 # 0.017 mm, and 0.01 mm is 1/30 of the 0.3 mm coordinate noise of the
 # benchmark subjects.
 SBR_XATOL = 1e-2
+# that stop also needs the step to change the cost by at most this, in mm;
+# an initial cost this low returns the identity at once
+SBR_COST_TOLERANCE_MM = 1e-3
+# cost calls a descent may spend beyond the first; a converging descent
+# stops long before, so this only bounds one that does not
+SBR_MAX_EVALUATIONS = 500
 # the first step's length and the units of the descent: criterion 4 recovers
 # moves of 3-10 deg and 3-10 mm from an identity start
 SBR_STEP_DEG = 10.0
@@ -90,10 +96,6 @@ class RegistrationResult:
     final_cost_mm: float
     iterations: int
     converged: bool
-
-
-def _params_to_transform(x: np.ndarray, pivot: np.ndarray) -> RigidTransform:
-    return RigidTransform(x[:3], x[3:], pivot)
 
 
 def euler_xyz_matrix(ax: float, ay: float, az: float) -> np.ndarray:
@@ -249,7 +251,7 @@ class RigidCost:
         return np.array(grad + gt)
 
 
-def sbr_rigid(moving: np.ndarray, static: np.ndarray, config: RunConfig | None = None) -> RegistrationResult:
+def sbr_rigid(moving: np.ndarray, static: np.ndarray) -> RegistrationResult:
     """Rigid registration of a moving streamline set onto a static one.
 
     Minimizes the symmetric bundle distance over 6 parameters with one
@@ -257,8 +259,8 @@ def sbr_rigid(moving: np.ndarray, static: np.ndarray, config: RunConfig | None =
     identity.  Its first step goes down the gradient by `SBR_STEP_DEG` and
     `SBR_STEP_MM` units.  It stops after a step that moves every parameter by
     at most `SBR_XATOL` (degrees and mm) and the cost by at most
-    ``cost_tolerance_mm``, when its line search finds no decrease, or after
-    ``max_cost_evaluations`` cost calls beyond the first; the gradient is
+    `SBR_COST_TOLERANCE_MM`, when its line search finds no decrease, or after
+    `SBR_MAX_EVALUATIONS` cost calls beyond the first; the gradient is
     taken only at accepted steps, from the distances of the call there.  The
     pivot is the moving set's barycenter.  The cost is one `RigidCost`, so its
     static block and workspaces are built once per registration, not per
@@ -269,12 +271,11 @@ def sbr_rigid(moving: np.ndarray, static: np.ndarray, config: RunConfig | None =
     with converged=False.
 
     The cost of a set against itself is about 3e-8 mm, not 0, so with a
-    ``cost_tolerance_mm`` below that an already aligned pair runs the
+    `SBR_COST_TOLERANCE_MM` below that an already aligned pair runs the
     descent.  No step lowers that cost, so the line search ends the descent
     after at most a dozen calls (one halving of the first step per factor 2
     down to `SBR_XATOL`), not at the budget.
     """
-    cfg = config or RunConfig()
     moving = np.asarray(moving, dtype=np.float64)
     static = np.asarray(static, dtype=np.float64)
     if len(moving) == 0 or len(static) == 0:
@@ -286,7 +287,7 @@ def sbr_rigid(moving: np.ndarray, static: np.ndarray, config: RunConfig | None =
 
     x0 = np.zeros(6)
     initial_cost = cost(x0)
-    if initial_cost <= cfg.cost_tolerance_mm:
+    if initial_cost <= SBR_COST_TOLERANCE_MM:
         return RegistrationResult(
             transform=RigidTransform.identity(),
             initial_cost_mm=initial_cost,
@@ -296,8 +297,8 @@ def sbr_rigid(moving: np.ndarray, static: np.ndarray, config: RunConfig | None =
         )
 
     best_x, best_cost, _ = bfgs(cost, cost.gradient, x0, initial_cost, cost.gradient(x0),
-                                _SBR_SCALE, cfg.max_cost_evaluations, xatol=SBR_XATOL,
-                                fatol=cfg.cost_tolerance_mm)
+                                _SBR_SCALE, SBR_MAX_EVALUATIONS, xatol=SBR_XATOL,
+                                fatol=SBR_COST_TOLERANCE_MM)
 
     if not (math.isfinite(best_cost) and best_cost < initial_cost):
         return RegistrationResult(
@@ -308,7 +309,7 @@ def sbr_rigid(moving: np.ndarray, static: np.ndarray, config: RunConfig | None =
             converged=False,
         )
     return RegistrationResult(
-        transform=_params_to_transform(best_x, cost.pivot),
+        transform=RigidTransform(best_x[:3], best_x[3:], cost.pivot),
         initial_cost_mm=initial_cost,
         final_cost_mm=best_cost,
         iterations=cost.evaluations,
@@ -401,7 +402,7 @@ def lsnr(
     subject_centroids = cluster_centroids(
         quickbundles(subject_streamlines[subject_nbhd], cfg.qb_threshold_local_mm)
     )
-    registration = sbr_rigid(subject_centroids, atlas_centroids, cfg)
+    registration = sbr_rigid(subject_centroids, atlas_centroids)
     return LocalRegistration(
         registration=registration,
         neighborhood=subject_nbhd,

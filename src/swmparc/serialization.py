@@ -172,7 +172,7 @@ def read_atlas(directory) -> AtlasModel:
         models.append(_bundle_model(
             Bundle(bundle_id, np.asarray(streamlines, dtype=np.float64)),
             per_bundle[bundle_id], resample_k, f"{stats_path}: bundle {bundle_id!r}"))
-    return AtlasModel(bundles=tuple(models), resample_k=resample_k)
+    return AtlasModel(bundles=tuple(models))
 
 
 _BUNDLE_KEYS = ("barycenter", "radius_mm", "reference", "reference_normal",

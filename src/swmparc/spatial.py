@@ -18,7 +18,8 @@ def _cells(points: np.ndarray, cell_mm: float) -> np.ndarray:
 
 
 class StreamlineGrid:
-    """Cell-index bounds of every streamline's AABB on a uniform grid."""
+    """Cell-index bounds of every streamline's AABB on a uniform grid;
+    `parcellate` builds its grids at the default cell."""
 
     def __init__(self, streamlines: np.ndarray, cell_mm: float = 20.0):
         if cell_mm <= 0.0:

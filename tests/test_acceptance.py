@@ -368,8 +368,8 @@ def test_criterion_09_metric_oracles():
     atlas = build_atlas(big.atlas_bundles)
     cfg = RunConfig()
     atlas_all = atlas.all_streamlines()
-    atlas_grid = StreamlineGrid(atlas_all, cfg.grid_cell_mm)
-    subject_grid = StreamlineGrid(big.subject, cfg.grid_cell_mm)
+    atlas_grid = StreamlineGrid(atlas_all)
+    subject_grid = StreamlineGrid(big.subject)
     labels = np.asarray(big.truth_labels)
     min_specificity = min_accuracy = 1.0
     for model in atlas.bundles:

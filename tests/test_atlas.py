@@ -17,10 +17,11 @@ from swmparc.atlas import (
     reference_streamline,
 )
 from swmparc.clustering import quickbundles
-from swmparc.config import FEATURE_NAMES
+from swmparc.config import FEATURE_NAMES, RunConfig
 from swmparc.distances import mmea, pairwise_mmea
 from swmparc.geometry import Bundle, arc_lengths, bundle_barycenter, midpoints
 from swmparc.parcellation import compute_features
+from swmparc.serialization import read_atlas, write_atlas
 from swmparc.synth import ArcSpec, generate_bundle
 
 from conftest import random_streamlines
@@ -182,7 +183,7 @@ def test_under_two_samples_uninformative():
 
 def test_threshold_source_empirical(rng):
     x = rng.normal(10.0, 1.0, 300)
-    interval, fit = feature_interval("length_mm", x, source="empirical")
+    interval, fit = feature_interval("length_mm", x, RunConfig(threshold_source="empirical"))
     assert interval.source == "empirical"
     assert fit is None
 
@@ -231,4 +232,24 @@ def test_build_atlas_checks():
 def test_atlas_model_rejects_duplicate_ids():
     m = build_bundle_model(arc_bundle())
     with pytest.raises(ValueError):
-        AtlasModel(bundles=(m, m), resample_k=21)
+        AtlasModel(bundles=(m, m))
+
+
+def test_atlas_k_is_the_bundles_k(tmp_path):
+    spec = ArcSpec("b31", (0.0, 0.0, 0.0), 10.0, 170.0, (20.0, 40.0), 0.5, 20, 4)
+    atlas = build_atlas([generate_bundle(spec, k=31)])
+    assert atlas.resample_k == 31
+    write_atlas(atlas, tmp_path / "atlas")
+    back = read_atlas(tmp_path / "atlas")
+    assert back.resample_k == 31
+    assert back.bundles[0].reference.shape == (31, 3)
+
+
+def test_atlas_rejects_bundles_of_mixed_k():
+    spec = ArcSpec("b31", (200.0, 0.0, 0.0), 10.0, 170.0, (20.0, 40.0), 0.5, 20, 4)
+    models = (build_bundle_model(arc_bundle(count=20)),
+              build_bundle_model(generate_bundle(spec, k=31)))
+    with pytest.raises(ValueError, match="one number of points"):
+        AtlasModel(bundles=models)
+    with pytest.raises(ValueError, match="one number of points"):
+        build_atlas([m.bundle for m in models])

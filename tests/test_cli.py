@@ -11,6 +11,7 @@ import pytest
 
 import swmparc
 from swmparc.cli import main
+from swmparc.config import RunConfig
 from swmparc.serialization import read_truth
 from swmparc.synth import OUTLIER_LABEL, ArcSpec, SceneSpec
 from swmparc.tckio import read_tck, write_tck
@@ -144,6 +145,74 @@ def test_config_file_and_override(work, tmp_path):
     assert summary["bundles"] == json.loads((work / "res1" / "summary.json").read_text())["bundles"]
 
 
+def test_parcellate_runs_at_and_echoes_the_atlas_k(work, tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "k31.json"
+    cfg.write_text(json.dumps({"resample_k": 31}))
+    atlas = tmp_path / "atlas31"
+    assert main(["build-atlas", "--bundles", str(work / "scene" / "bundles"),
+                 "--out", str(atlas), "--config", str(cfg)]) == 0
+    assert json.loads((atlas / "manifest.json").read_text())["resample_k"] == 31
+    # the default config asks for K = 21; the run is at the atlas's 31, and
+    # both echoed configs say so
+    capsys.readouterr()
+    res = tmp_path / "res31"
+    assert main(["parcellate", "--atlas", str(atlas),
+                 "--subject", str(work / "scene" / "subject.tck"), "--out", str(res)]) == 0
+    assert capsys.readouterr().err.splitlines()[0] == \
+        "resample_k 21 of the config is ignored: the atlas has 31 points per streamline"
+    assert json.loads((res / "run_config.json").read_text())["resample_k"] == 31
+    assert json.loads((res / "summary.json").read_text())["config"]["resample_k"] == 31
+    assert all(len(s) == 31 for s in read_tck(res / "cli_a.tck"))
+    # evaluate resamples the subject at the K the result echoes
+    import swmparc.cli as cli
+    seen = []
+    resample = cli.resample_all
+
+    def recorded(streamlines, k):
+        seen.append(k)
+        return resample(streamlines, k)
+
+    monkeypatch.setattr(cli, "resample_all", recorded)
+    assert main(["evaluate", "--result", str(res), "--truth", str(work / "scene" / "truth.json"),
+                 "--subject", str(work / "scene" / "subject.tck"),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert seen == [31]
+    # a config asking for 31 against the K = 21 atlas runs and writes as if
+    # it asked for 21
+    capsys.readouterr()
+    assert main(["parcellate", "--atlas", str(work / "atlas"), "--config", str(cfg),
+                 "--subject", str(work / "scene" / "subject.tck"),
+                 "--out", str(tmp_path / "res21")]) == 0
+    assert dir_snapshot(tmp_path / "res21") == dir_snapshot(work / "res1")
+    assert capsys.readouterr().err.splitlines()[0] == \
+        "resample_k 31 of the config is ignored: the atlas has 21 points per streamline"
+
+
+def test_echoed_configs_replay_their_directories(work, tmp_path):
+    # a run fed its own run_config.json writes the same bytes; here with
+    # empirical thresholds at deciles 0.15 / 0.85, the "any" containment
+    # rule and winner-take-all
+    config = {"threshold_source": "empirical", "containment_rule": "any",
+              "winner_take_all": True, "decile_low": 0.15, "decile_high": 0.85}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    build = ["build-atlas", "--bundles", str(work / "scene" / "bundles")]
+    assert main(build + ["--out", str(tmp_path / "a1"), "--config", str(cfg)]) == 0
+    echoed = tmp_path / "a1" / "run_config.json"
+    assert json.loads(echoed.read_text()) == RunConfig(**config).to_dict()
+    assert main(build + ["--out", str(tmp_path / "a2"), "--config", str(echoed)]) == 0
+    assert dir_snapshot(tmp_path / "a2") == dir_snapshot(tmp_path / "a1")
+    assert dir_snapshot(tmp_path / "a1") != dir_snapshot(work / "atlas")
+
+    label = ["parcellate", "--atlas", str(tmp_path / "a1"),
+             "--subject", str(work / "scene" / "subject.tck")]
+    assert main(label + ["--out", str(tmp_path / "r1"), "--config", str(cfg)]) == 0
+    echoed = tmp_path / "r1" / "run_config.json"
+    assert json.loads(echoed.read_text()) == RunConfig(**config).to_dict()
+    assert main(label + ["--out", str(tmp_path / "r2"), "--config", str(echoed)]) == 0
+    assert dir_snapshot(tmp_path / "r2") == dir_snapshot(tmp_path / "r1")
+
+
 def test_exit_2_on_bad_inputs(work, tmp_path):
     missing = str(tmp_path / "nope")
     assert main(["synth", "--spec", missing, "--out", str(tmp_path / "o")]) == 2
@@ -221,18 +290,19 @@ def test_exit_2_on_out_of_range_config(work, tmp_path, capsys):
     label = ["parcellate", "--atlas", str(work / "atlas"),
              "--subject", str(work / "scene" / "subject.tck"), "--out", str(tmp_path / "o")]
     cfg = tmp_path / "cfg.json"
-    for config in ({"max_cost_evaluations": 0},
-                   {"cost_tolerance_mm": -1.0}, {"grid_cell_mm": 0.0}, {"resample_k": "21"},
+    for config in ({"resample_k": "21"}, {"neighborhood_factor": 0.0},
                    {"winner_take_all": "no"}, {"pbe_min_counts": [1, 2, 3]},
                    {"features": 5}, {"features": ["length_mm", 5]}, {"decile_low": "0.1"},
                    {"decile_high": None}):
         cfg.write_text(json.dumps(config))
         assert main(label + ["--config", str(cfg)]) == 2
     # a run_config.json echoed by an older version: the step sizes of the
-    # two-stage rigid SBR, the unused seed and the bundle worker count are
-    # unknown keys, and no replay could honour them
+    # two-stage rigid SBR, the unused seed, the bundle worker count, the
+    # grid cell and the registration budget and tolerance, now constants,
+    # are unknown keys, and no replay could honour them
     retired = {"seed": 0, "coarse_step_deg": 10.0, "coarse_step_mm": 10.0,
-               "fine_step_deg": 1.0, "fine_step_mm": 1.0, "workers": 0}
+               "fine_step_deg": 1.0, "fine_step_mm": 1.0, "workers": 0,
+               "grid_cell_mm": 20.0, "max_cost_evaluations": 500, "cost_tolerance_mm": 1e-3}
     echoed = json.loads((work / "res1" / "run_config.json").read_text())
     cfg.write_text(json.dumps({**echoed, **retired}))
     capsys.readouterr()

@@ -291,7 +291,7 @@ def test_global_align_is_sbr_over_the_kept_centroids(min_size, monkeypatch):
     subject_kept = [c for c in subject_all if c.count >= min_size]
     atlas_kept = [c for c in atlas_all if c.count >= min_size]
     assert len(subject_kept) >= MIN_GLOBAL_CENTROIDS and len(atlas_kept) >= MIN_GLOBAL_CENTROIDS
-    expected = sbr_rigid(cluster_centroids(subject_kept), cluster_centroids(atlas_kept), cfg)
+    expected = sbr_rigid(cluster_centroids(subject_kept), cluster_centroids(atlas_kept))
     assert_same_registration(reg, expected)
     assert aligned.tobytes() == apply_rigid(reg.transform, subject).tobytes()
     assert sizes == GlobalCentroids(len(subject_kept), len(subject_all),
@@ -314,8 +314,7 @@ def test_global_align_falls_back_to_all_centroids_of_singletons():
     assert sizes.atlas_kept == sizes.atlas_total
     every_centroid = sbr_rigid(
         cluster_centroids(quickbundles(subject, cfg.qb_threshold_global_mm)),
-        cluster_centroids(quickbundles(atlas.all_streamlines(), cfg.qb_threshold_global_mm)),
-        cfg)
+        cluster_centroids(quickbundles(atlas.all_streamlines(), cfg.qb_threshold_global_mm)))
     assert_same_registration(reg, every_centroid)
     assert np.all(np.isfinite(aligned))
     assert parcellate(atlas, subject, cfg).global_centroids == sizes
@@ -394,9 +393,10 @@ def test_features_invariant_under_one_rigid_motion(seed, angles, shift):
     motion = RigidTransform(angles, shift, rng.uniform(-20.0, 20.0, 3))
 
     # the features read no threshold, so the models skip the distribution fits
-    model = build_bundle_model(bundle, threshold_source="empirical")
+    empirical = RunConfig(threshold_source="empirical")
+    model = build_bundle_model(bundle, empirical)
     moved_model = build_bundle_model(Bundle("b", apply_rigid(motion, bundle.streamlines)),
-                                     threshold_source="empirical")
+                                     empirical)
     for candidate in candidates:
         assert_same_features(compute_features(candidate, model),
                              compute_features(apply_rigid(motion, candidate), moved_model))
@@ -428,7 +428,7 @@ def test_each_bundle_is_labeled_as_if_alone(seed, n_bundles, distractors, angles
     built = build_atlas(scene.atlas_bundles)
     cfg = RunConfig()
     for bundles in (built.bundles, built.bundles[::-1]):
-        atlas = AtlasModel(bundles=bundles, resample_k=built.resample_k)
+        atlas = AtlasModel(bundles=bundles)
         result = parcellate(atlas, scene.subject, cfg)
         aligned, _, _ = global_align(atlas, scene.subject, cfg)
         assert [b.bundle_id for b in result.bundles] == [m.id for m in bundles]

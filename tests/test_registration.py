@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 import swmparc.registration as registration
-from swmparc.config import RunConfig
 from swmparc.distances import bundle_min_distance
 from swmparc.geometry import Bundle
 from swmparc.registration import (
@@ -240,7 +239,6 @@ def test_sbr_takes_gradients_at_accepted_steps_only(monkeypatch):
         taken[0] += 1
         return gradient(self, x)
 
-    cfg = RunConfig()
     ours = theirs = 0
     for moving, static, _ in registration_scenes(8):
         with monkeypatch.context() as mp:
@@ -253,8 +251,8 @@ def test_sbr_takes_gradients_at_accepted_steps_only(monkeypatch):
         f0 = cost(x0)
         x, fun, nfev = reference_bfgs(lambda x: (cost(x), cost.gradient(x)), x0, f0,
                                       cost.gradient(x0), registration._SBR_SCALE,
-                                      cfg.max_cost_evaluations, registration.SBR_XATOL,
-                                      cfg.cost_tolerance_mm)
+                                      registration.SBR_MAX_EVALUATIONS, registration.SBR_XATOL,
+                                      registration.SBR_COST_TOLERANCE_MM)
         theirs += 1 + nfev
         assert res.transform.rotation_deg.tobytes() == x[:3].tobytes()
         assert res.transform.translation_mm.tobytes() == x[3:].tobytes()
@@ -302,19 +300,19 @@ def test_already_aligned_returns_identity():
     assert res.final_cost_mm <= 1e-3
 
 
-def test_no_improvement_returns_identity_unconverged():
+def test_no_improvement_returns_identity_unconverged(monkeypatch):
     # the matmul expansion leaves a cost of about 3e-8 mm at zero distance;
     # with a zero tolerance the optimizer runs, and no step beats it
     static = arc_bundle(8).streamlines
-    cfg = RunConfig(cost_tolerance_mm=0.0)
-    res = sbr_rigid(static.copy(), static, cfg)
+    monkeypatch.setattr(registration, "SBR_COST_TOLERANCE_MM", 0.0)
+    res = sbr_rigid(static.copy(), static)
     assert res.converged is False
     assert res.transform.is_identity()
     assert res.final_cost_mm == res.initial_cost_mm
     # the descent ends by itself, not at the budget: the first call, then
     # the first step halved until no parameter moves by more than SBR_XATOL
     halvings = math.ceil(math.log2(registration.SBR_STEP_MM / registration.SBR_XATOL))
-    assert res.iterations <= 2 + halvings < cfg.max_cost_evaluations
+    assert res.iterations <= 2 + halvings < registration.SBR_MAX_EVALUATIONS
 
 
 def test_empty_sets_rejected():
