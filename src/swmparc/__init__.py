@@ -41,8 +41,6 @@ from .metrics import (
 from .parcellation import (
     LabelDecision,
     ParcellationResult,
-    compute_features,
-    label_streamline,
     parcellate,
     parcellate_bundle,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "bundle_radius",
     "cluster_centroids",
     "compute_feature_samples",
-    "compute_features",
     "confusion_scores",
     "coverage",
     "direction_vector",
@@ -107,7 +104,6 @@ __all__ = [
     "fit_plane_normal",
     "generate_bundle",
     "generate_scene",
-    "label_streamline",
     "lsnr",
     "mdf",
     "midpoint",

@@ -1,9 +1,10 @@
 """Streamline geometry: resampling and the six per-streamline descriptors.
 
 A streamline is an (N, 3) float64 array of points in millimeters.  All
-pipeline algorithms operate on the fixed-K resampled form (K odd, default 21)
-so that every streamline has an exact medial point.  Batch variants accept an
-(n, K, 3) stack and are the hot path; the scalar functions define the contract.
+pipeline algorithms operate on the fixed-K resampled form (K odd, default
+`RunConfig.resample_k`) so that every streamline has an exact medial point.
+Batch variants accept an (n, K, 3) stack and are the hot path; the scalar
+functions define the contract.
 """
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-RESAMPLE_POINTS = 21
+from .config import RunConfig
+
 DEGENERATE_NORM = 1e-9
 
 
@@ -50,7 +52,7 @@ def dedupe_consecutive(points: np.ndarray) -> np.ndarray:
     return points[keep]
 
 
-def resample(points, k: int = RESAMPLE_POINTS) -> np.ndarray:
+def resample(points, k: int = RunConfig.resample_k) -> np.ndarray:
     """Resample a polyline to k points at equal arc-length spacing.
 
     Endpoints are preserved.  Consecutive duplicate points are removed first;
@@ -76,7 +78,7 @@ def resample(points, k: int = RESAMPLE_POINTS) -> np.ndarray:
     return out
 
 
-def resample_all(streamlines, k: int = RESAMPLE_POINTS) -> np.ndarray:
+def resample_all(streamlines, k: int = RunConfig.resample_k) -> np.ndarray:
     """Resample a sequence of polylines into one (n, k, 3) stack.
 
     Row i is bit for bit ``resample(streamlines[i], k)``.  Only the shape

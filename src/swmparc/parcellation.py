@@ -2,6 +2,10 @@
 local registration, the six features of each candidate (`atlas.feature_table`
 with the mmea to the model bundle), and threshold-interval decisions.
 
+A bundle's candidates are decided together, one feature column at a time by
+`FeatureInterval.contains`; a candidate is accepted where all six columns
+pass, and its `LabelDecision` record is built from the columns afterwards.
+
 Bundles are labeled one at a time, in atlas order, on the calling thread.
 Each bundle reads only the immutable atlas and aligned subject arrays, so its
 result does not depend on which bundles ran before it.
@@ -36,18 +40,12 @@ MIN_GLOBAL_CENTROIDS = 3
 
 @dataclass(frozen=True)
 class LabelDecision:
-    """Outcome of testing one candidate streamline against one bundle model."""
+    """One candidate's six feature values against one bundle model and the
+    outcome of each feature's interval test; accepted iff all passed."""
 
     streamline_index: int
-    bundle_id: str
     features: dict[str, float]
     passed: dict[str, bool]
-    accepted: bool
-    auto_passed: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.accepted != all(self.passed.values()):
-            raise ValueError("accepted flag must equal the conjunction of per-feature tests")
 
 
 @dataclass(frozen=True)
@@ -90,54 +88,6 @@ class ParcellationResult:
         return {i: tuple(v) for i, v in labels.items()}
 
 
-def compute_features(candidate: np.ndarray, model: BundleModel) -> tuple[dict[str, float], tuple[str, ...]]:
-    """Feature vector of one candidate against a bundle model.
-
-    Computed by the same `feature_table` as the atlas feature samples, so the
-    values are directly comparable with the model's threshold intervals.  Returns the
-    six values plus the names of any degenerate (NaN-valued) features.
-    """
-    batch = np.asarray(candidate, dtype=np.float64)[None, :, :]
-    nearest = pairwise_mmea(batch, model.bundle.streamlines).min(axis=1)
-    values, degenerate = feature_table(batch, nearest, model)
-    fv = {f: float(values[f][0]) for f in FEATURE_NAMES}
-    flagged = tuple(f for f in FEATURE_NAMES if bool(degenerate[f][0]))
-    return fv, flagged
-
-
-def label_streamline(
-    fv: dict[str, float],
-    model: BundleModel,
-    streamline_index: int = -1,
-    degenerate: tuple[str, ...] = (),
-    features: tuple[str, ...] = FEATURE_NAMES,
-) -> LabelDecision:
-    """Test a feature vector against the model's closed threshold intervals.
-
-    A feature passes when low <= value <= high.  Auto-pass cases: features
-    excluded from `features` (ablation), model intervals carrying no
-    information, and candidate-side degenerate values.
-    """
-    passed: dict[str, bool] = {}
-    auto: list[str] = []
-    for f in FEATURE_NAMES:
-        interval = model.thresholds[f]
-        if f not in features or not interval.informative or f in degenerate:
-            passed[f] = True
-            auto.append(f)
-            continue
-        v = fv[f]
-        passed[f] = bool(interval.low <= v <= interval.high)
-    return LabelDecision(
-        streamline_index=streamline_index,
-        bundle_id=model.id,
-        features={f: fv[f] for f in FEATURE_NAMES},
-        passed=passed,
-        accepted=all(passed.values()),
-        auto_passed=tuple(auto),
-    )
-
-
 def parcellate_bundle(
     model: BundleModel,
     subject_streamlines: np.ndarray,
@@ -169,22 +119,30 @@ def parcellate_bundle(
     indices = local.neighborhood
     candidates = apply_rigid(local.registration.transform, subject_streamlines[indices])
     nearest = pairwise_mmea(candidates, model.bundle.streamlines).min(axis=1)
-    values, degen = feature_table(candidates, nearest, model)
+    values, degenerate = feature_table(candidates, nearest, model)
 
-    decisions = []
-    accepted = []
-    for row, idx in enumerate(indices):
-        fv = {f: float(values[f][row]) for f in FEATURE_NAMES}
-        flagged = tuple(f for f in FEATURE_NAMES if bool(degen[f][row]))
-        decision = label_streamline(fv, model, int(idx), flagged, cfg.features)
-        decisions.append(decision)
-        if decision.accepted:
-            accepted.append(int(idx))
+    # a feature passes where its value lies in the closed interval or is
+    # degenerate; it passes everywhere when `cfg.features` leaves it out or
+    # the model's interval carries no information
+    passed = {}
+    for f in FEATURE_NAMES:
+        interval = model.thresholds[f]
+        if f in cfg.features and interval.informative:
+            passed[f] = degenerate[f] | interval.contains(values[f])
+        else:
+            passed[f] = np.ones(len(indices), dtype=bool)
+    accepted = np.logical_and.reduce([passed[f] for f in FEATURE_NAMES])
+
+    value_rows = zip(*(values[f].tolist() for f in FEATURE_NAMES))
+    passed_rows = zip(*(passed[f].tolist() for f in FEATURE_NAMES))
+    decisions = tuple(
+        LabelDecision(idx, dict(zip(FEATURE_NAMES, v)), dict(zip(FEATURE_NAMES, p)))
+        for idx, v, p in zip(indices.tolist(), value_rows, passed_rows))
     return BundleParcellation(
         bundle_id=model.id,
         status="recognized",
-        accepted_indices=np.asarray(accepted, dtype=np.int64),
-        decisions=tuple(decisions),
+        accepted_indices=indices[accepted],
+        decisions=decisions,
         local=local,
     )
 

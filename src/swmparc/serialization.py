@@ -18,7 +18,7 @@ from .config import FEATURE_NAMES
 from .fitting import FAMILIES, FittedDistribution
 from .geometry import Bundle
 from .registration import RegistrationResult, RigidTransform
-from .tckio import read_tck, write_tck
+from .tckio import TrackFileError, read_tck, write_tck
 
 FORMAT_VERSION = "1"
 
@@ -164,7 +164,12 @@ def read_atlas(directory) -> AtlasModel:
         tck_path = os.path.join(directory, f"{bundle_id}.tck")
         if not os.path.exists(tck_path):
             raise AtlasFormatError(f"{directory}: missing track file for bundle {bundle_id!r}")
-        streamlines = read_tck(tck_path)
+        try:
+            streamlines = read_tck(tck_path)
+        except TrackFileError as e:
+            raise AtlasFormatError(str(e)) from e
+        if not streamlines:
+            raise AtlasFormatError(f"{tck_path}: no streamline in bundle {bundle_id!r}")
         for s in streamlines:
             if len(s) != resample_k:
                 raise AtlasFormatError(

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .geometry import RESAMPLE_POINTS, Bundle, bundle_barycenter, bundle_radius
+from .config import RunConfig
+from .geometry import Bundle, bundle_barycenter, bundle_radius
 from .registration import RigidTransform, apply_rigid
 
 OUTLIER_LABEL = "outlier"
@@ -78,7 +79,7 @@ class ArcSpec:
         )
 
 
-def generate_bundle(spec: ArcSpec, k: int = RESAMPLE_POINTS) -> Bundle:
+def generate_bundle(spec: ArcSpec, k: int = RunConfig.resample_k) -> Bundle:
     """Expand an arc spec into `count` jittered copies of the analytic arc."""
     rng = np.random.default_rng(spec.seed)
     frame = Rotation.from_euler(
@@ -187,7 +188,7 @@ class SceneSpec:
 
 
 def generate_distractors(count: int, lo, hi, rng: np.random.Generator,
-                         k: int = RESAMPLE_POINTS,
+                         k: int = RunConfig.resample_k,
                          keep_out: list | None = None) -> np.ndarray:
     """Random low-curvature polylines spread over a box.
 
@@ -231,7 +232,7 @@ class Scene:
         return np.flatnonzero(np.asarray(self.truth_labels) == bundle_id)
 
 
-def generate_scene(spec: SceneSpec, k: int = RESAMPLE_POINTS) -> Scene:
+def generate_scene(spec: SceneSpec, k: int = RunConfig.resample_k) -> Scene:
     """Expand a scene spec deterministically.
 
     The subject is built from perturbed copies of the atlas streamlines

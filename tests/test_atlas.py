@@ -20,7 +20,6 @@ from swmparc.clustering import quickbundles
 from swmparc.config import FEATURE_NAMES, RunConfig
 from swmparc.distances import mmea, pairwise_mmea
 from swmparc.geometry import Bundle, arc_lengths, bundle_barycenter, midpoints
-from swmparc.parcellation import compute_features
 from swmparc.serialization import read_atlas, write_atlas
 from swmparc.synth import ArcSpec, generate_bundle
 
@@ -102,19 +101,21 @@ def test_feature_samples_are_the_members_subject_side_rows(case):
             assert values[f][~degenerate[f]].tobytes() == samples[f].tobytes(), f
     np.fill_diagonal(d, np.inf)
     assert d.min(axis=1).tobytes() == samples["mmea_mm"].tobytes()
-    # one candidate at a time flags the same features, with the angles equal
-    # bit for bit and the other values up to the last bits of the mmea
-    # kernel's matrix product over one row instead of n
-    for row, line in enumerate(arr):
-        fv, flagged = compute_features(line, model)
-        assert flagged == tuple(f for f in FEATURE_NAMES if degenerate[f][row])
+    # one candidate at a time, `feature_table` of a one-row batch, flags the
+    # same features, with the angles equal bit for bit and the other values up
+    # to the last bits of the mmea kernel's matrix product over one row
+    # instead of n
+    for row in range(len(arr)):
+        one = arr[row:row + 1]
+        one_values, one_degenerate = feature_table(one, pairwise_mmea(one, arr).min(axis=1), model)
         for f in FEATURE_NAMES:
-            if f in flagged:
+            assert one_degenerate[f][0] == degenerate[f][row], f
+            if degenerate[f][row]:
                 continue
             if f in ANGLES:
-                assert np.float64(fv[f]).tobytes() == values[f][row].tobytes(), f
+                assert one_values[f].tobytes() == values[f][row:row + 1].tobytes(), f
             else:
-                assert fv[f] == pytest.approx(values[f][row], rel=1e-12, abs=1e-5), f
+                assert one_values[f][0] == pytest.approx(values[f][row], rel=1e-12, abs=1e-5), f
 
 
 def test_feature_samples_all_within_domains():

@@ -411,6 +411,26 @@ def test_exit_2_on_hostile_atlas_stats(work, tmp_path, capsys, edit, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("name, content, message", [
+    ("cli_b.tck", b"not a track file", "bad magic at byte 0"),
+    ("cli_a.tck", None, "no streamline in bundle 'cli_a'"),
+], ids=["garbage_bytes", "no_streamline"])
+def test_exit_2_on_bad_atlas_track_file(work, tmp_path, capsys, name, content, message):
+    atlas = tmp_path / "atlas"
+    shutil.copytree(work / "atlas", atlas)
+    if content is None:
+        write_tck([], atlas / name)
+    else:
+        (atlas / name).write_bytes(content)
+    capsys.readouterr()
+    assert main(["parcellate", "--atlas", str(atlas),
+                 "--subject", str(work / "scene" / "subject.tck"),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {atlas / name}: ") and message in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_2_on_bad_affine(work, tmp_path):
     affine = tmp_path / "bad.txt"
     np.savetxt(affine, np.eye(3))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,18 +8,22 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 import swmparc.parcellation as parcellation
-from swmparc.atlas import AtlasModel, build_atlas, build_bundle_model
+from swmparc.atlas import (
+    AtlasModel,
+    FeatureInterval,
+    build_atlas,
+    build_bundle_model,
+    feature_table,
+)
 from swmparc.clustering import Cluster, cluster_centroids, quickbundles
 from swmparc.config import FEATURE_NAMES, RunConfig
+from swmparc.distances import pairwise_mmea
 from swmparc.geometry import Bundle, bundle_barycenter, bundle_radius
 from swmparc.parcellation import (
     GLOBAL_MIN_CLUSTER_SIZE,
     MIN_GLOBAL_CENTROIDS,
     GlobalCentroids,
-    LabelDecision,
-    compute_features,
     global_align,
-    label_streamline,
     parcellate,
     parcellate_bundle,
     registration_clusters,
@@ -46,61 +51,134 @@ def model():
     return build_bundle_model(arc_bundle())
 
 
-def test_decision_invariant_enforced():
-    with pytest.raises(ValueError):
-        LabelDecision(0, "b", {}, {"length_mm": False}, accepted=True)
-    d = LabelDecision(0, "b", {}, {"length_mm": False}, accepted=False)
-    assert not d.accepted
+def with_intervals(model, thresholds):
+    """The model with its intervals replaced by `thresholds` where given.  The
+    local registration reads no interval, so labeling with it sees the same
+    candidate values."""
+    return dataclasses.replace(model, thresholds={**model.thresholds, **thresholds})
+
+
+def own_members(model, thresholds=None, **config):
+    """`parcellate_bundle` of the model's own members against `with_intervals`."""
+    arr = model.bundle.streamlines
+    return parcellate_bundle(with_intervals(model, thresholds or {}), arr, arr,
+                             RunConfig(**config))
+
+
+def around(value, width=1.0):
+    return FeatureInterval(value - width, value + width, "empirical")
+
+
+EXCLUDES_ALL = FeatureInterval(-2.0, -1.0, "empirical")  # no feature value is negative
 
 
 def test_member_features_pass_their_own_model(model):
     arr = model.bundle.streamlines
-    hits = 0
-    for i in range(len(arr)):
-        fv, flagged = compute_features(arr[i], model)
-        assert not flagged
+    out = own_members(model)
+    assert [d.streamline_index for d in out.decisions] == list(range(len(arr)))
+    for d in out.decisions:
+        assert all(np.isfinite(v) for v in d.features.values())  # nothing degenerate
         # an atlas member has an identical twin in the bundle
-        assert fv["mmea_mm"] == pytest.approx(0.0, abs=1e-5)
-        decision = label_streamline(fv, model, i)
-        hits += decision.accepted
-    assert hits / len(arr) > 0.4
+        assert d.features["mmea_mm"] == pytest.approx(0.0, abs=1e-5)
+    assert len(out.accepted_indices) / len(arr) > 0.4
 
 
 def test_feature_vector_is_complete(model):
-    fv, _ = compute_features(model.bundle.streamlines[0], model)
-    assert set(fv) == set(FEATURE_NAMES)
-    assert all(np.isfinite(v) for v in fv.values())
+    d = own_members(model).decisions[0]
+    assert list(d.features) == list(d.passed) == list(FEATURE_NAMES)
+    assert all(np.isfinite(v) for v in d.features.values())
 
 
-def test_label_streamline_interval_logic(model):
-    fv = {f: 0.5 * (model.thresholds[f].low + model.thresholds[f].high)
-          for f in FEATURE_NAMES}
-    assert label_streamline(fv, model).accepted
-    bad = dict(fv)
-    bad["length_mm"] = model.thresholds["length_mm"].high + 1.0
-    d = label_streamline(bad, model)
-    assert not d.accepted
+def test_candidate_interval_logic(model):
+    first = own_members(model).decisions[0]
+    i, values = first.streamline_index, first.features
+    fit = {f: around(v) for f, v in values.items()}
+    out = own_members(model, fit)
+    assert out.decisions[0].passed == {f: True for f in FEATURE_NAMES}
+    assert i in out.accepted_indices
+    # a length above its interval fails that test only
+    too_long = {**fit, "length_mm": FeatureInterval(values["length_mm"] - 2.0,
+                                                    values["length_mm"] - 1.0, "empirical")}
+    out = own_members(model, too_long)
+    d = out.decisions[0]
     assert d.passed["length_mm"] is False
     assert all(d.passed[f] for f in FEATURE_NAMES if f != "length_mm")
+    assert i not in out.accepted_indices
 
 
 def test_feature_subset_auto_passes(model):
-    fv = {f: -1e9 for f in FEATURE_NAMES}  # fails every informative interval
-    only_len = label_streamline(fv, model, features=("length_mm",))
-    assert set(only_len.auto_passed) >= set(FEATURE_NAMES) - {"length_mm"}
-    assert not only_len.accepted  # length still fails
-    fv["length_mm"] = 0.5 * (model.thresholds["length_mm"].low
-                             + model.thresholds["length_mm"].high)
-    assert label_streamline(fv, model, features=("length_mm",)).accepted
+    fails_all = {f: EXCLUDES_ALL for f in FEATURE_NAMES}
+    out = own_members(model, fails_all)
+    assert out.accepted_indices.size == 0
+    assert not any(any(d.passed.values()) for d in out.decisions)
+    only_len = own_members(model, fails_all, features=("length_mm",))
+    assert only_len.accepted_indices.size == 0  # length still fails
+    for d in only_len.decisions:
+        assert d.passed == {f: f != "length_mm" for f in FEATURE_NAMES}
+    first = only_len.decisions[0]
+    fits_len = {**fails_all, "length_mm": around(first.features["length_mm"])}
+    assert first.streamline_index in own_members(
+        model, fits_len, features=("length_mm",)).accepted_indices
+    # an interval that carries no information passes every value as well
+    no_info = {f: FeatureInterval(-2.0, -1.0, "empirical", informative=False)
+               for f in FEATURE_NAMES}
+    assert len(own_members(model, no_info).accepted_indices) == len(model.bundle.streamlines)
 
 
 def test_degenerate_candidate_feature_auto_passes(model):
-    fv = {f: 0.5 * (model.thresholds[f].low + model.thresholds[f].high)
-          for f in FEATURE_NAMES}
-    fv["plane_angle_deg"] = float("nan")
-    d = label_streamline(fv, model, degenerate=("plane_angle_deg",))
-    assert d.accepted
-    assert "plane_angle_deg" in d.auto_passed
+    # a straight chord of a member lies inside the bundle's sphere; its plane
+    # normal (and its direction) are degenerate, so those values are NaN and
+    # pass any interval
+    arr = model.bundle.streamlines
+    chord = np.linspace(arr[0, 0], arr[0, -1], arr.shape[1])
+    subject = np.concatenate([arr, chord[None]])
+    line = len(arr)
+
+    def run(thresholds):
+        return parcellate_bundle(with_intervals(model, thresholds), subject, arr, RunConfig())
+
+    last = run({}).decisions[-1]  # decisions are in ascending subject order
+    assert last.streamline_index == line
+    degenerate = [f for f, v in last.features.items() if math.isnan(v)]
+    assert "plane_angle_deg" in degenerate
+    fit = {f: EXCLUDES_ALL if f in degenerate else around(v) for f, v in last.features.items()}
+    out = run(fit)
+    assert out.decisions[-1].passed == {f: True for f in FEATURE_NAMES}
+    assert list(out.accepted_indices) == [line]
+
+
+@pytest.mark.parametrize("seed", [21, 22])
+def test_accepted_are_the_decisions_that_pass_all_tests(seed):
+    # a bench-like scene: four bundles among 150 distractors, one global move
+    scene = generate_scene(random_scene_spec(
+        n_bundles=4, streamlines_per_bundle=30, distractor_count=150, seed=seed,
+        global_rotation_deg=(4.0, -3.0, 6.0), global_translation_mm=(7.0, -5.0, 3.0)))
+    atlas = build_atlas(scene.atlas_bundles)
+    for features in (FEATURE_NAMES, ("length_mm", "mmea_mm")):
+        result = parcellate(atlas, scene.subject, RunConfig(features=features))
+        outcomes = set()
+        for b, model in zip(result.bundles, atlas.bundles):
+            passing = [d.streamline_index for d in b.decisions if all(d.passed.values())]
+            assert b.accepted_indices.tolist() == passing
+            for d in b.decisions:
+                outcomes.add(all(d.passed.values()))
+                for f, v in d.features.items():
+                    interval = model.thresholds[f]
+                    tested = f in features and interval.informative and not math.isnan(v)
+                    assert d.passed[f] == (not tested or interval.low <= v <= interval.high)
+        assert outcomes == {True, False}
+
+    # a value equal to an interval's low or high end passes
+    cfg = RunConfig()
+    aligned, _, _ = global_align(atlas, scene.subject, cfg)
+    model = atlas.bundles[0]
+    first = parcellate_bundle(model, aligned, atlas.all_streamlines(), cfg).decisions[0]
+    ends = {f: FeatureInterval(v, v + 1.0, "empirical") if j % 2 else
+            FeatureInterval(v - 1.0, v, "empirical")
+            for j, (f, v) in enumerate(first.features.items()) if not math.isnan(v)}
+    out = parcellate_bundle(with_intervals(model, ends), aligned, atlas.all_streamlines(), cfg)
+    assert out.decisions[0].passed == {f: True for f in FEATURE_NAMES}
+    assert first.streamline_index in out.accepted_indices
 
 
 def test_parcellate_bundle_accepts_own_streamlines(model):
@@ -363,16 +441,21 @@ def test_default_global_stage_recovers_rotation_among_distractors():
 MM_FEATURES = ("length_mm", "dist_to_barycenter_mm", "mmea_mm")
 
 
-def assert_same_features(before, after, skip=()):
-    (fv, flagged), (moved_fv, moved_flagged) = before, after
-    assert moved_flagged == flagged
+def candidate_features(candidates, model):
+    """`feature_table` of a batch with the mmea to the model bundle, as
+    labeling computes it."""
+    return feature_table(candidates,
+                         pairwise_mmea(candidates, model.bundle.streamlines).min(axis=1), model)
+
+
+def assert_same_features(before, after):
+    (values, degenerate), (moved, moved_degenerate) = before, after
     for f in FEATURE_NAMES:
-        if f in flagged:
-            assert math.isnan(fv[f]) and math.isnan(moved_fv[f])
-        elif f in MM_FEATURES:
-            assert moved_fv[f] == pytest.approx(fv[f], rel=1e-9, abs=0.0), f
-        elif f not in skip:
-            assert moved_fv[f] == pytest.approx(fv[f], rel=0.0, abs=1e-7), f
+        flagged = degenerate[f]
+        assert np.array_equal(moved_degenerate[f], flagged), f
+        assert np.isnan(values[f][flagged]).all() and np.isnan(moved[f][flagged]).all(), f
+        tol = dict(rel=1e-9, abs=0.0) if f in MM_FEATURES else dict(rel=0.0, abs=1e-7)
+        assert moved[f][~flagged] == pytest.approx(values[f][~flagged], **tol), f
 
 
 @settings(max_examples=100, deadline=None)
@@ -390,6 +473,10 @@ def test_features_invariant_under_one_rigid_motion(seed, angles, shift):
         float(rng.uniform(120.0, 220.0)), tuple(rng.uniform(0.0, 180.0, 2)), 0.5, 12,
         int(rng.integers(2 ** 31))))
     candidates = bundle.streamlines[:4] + rng.normal(0.0, 1.5, (4, 21, 3))
+    # a straight line: its plane normal is degenerate before and after the
+    # move, and its shape angle is 180 degrees to the same 1e-7 degrees
+    line = np.linspace(0.0, 1.0, 21)[:, None] * rng.uniform(-30.0, 30.0, 3) + rng.uniform(-5, 5, 3)
+    candidates = np.concatenate([candidates, line[None]])
     motion = RigidTransform(angles, shift, rng.uniform(-20.0, 20.0, 3))
 
     # the features read no threshold, so the models skip the distribution fits
@@ -397,18 +484,15 @@ def test_features_invariant_under_one_rigid_motion(seed, angles, shift):
     model = build_bundle_model(bundle, empirical)
     moved_model = build_bundle_model(Bundle("b", apply_rigid(motion, bundle.streamlines)),
                                      empirical)
-    for candidate in candidates:
-        assert_same_features(compute_features(candidate, model),
-                             compute_features(apply_rigid(motion, candidate), moved_model))
-
-    # a straight line: its plane normal is degenerate before and after the
-    # move, and its shape angle is 180 degrees to the same 1e-7 degrees
-    line = np.linspace(0.0, 1.0, 21)[:, None] * rng.uniform(-30.0, 30.0, 3) + rng.uniform(-5, 5, 3)
-    before = compute_features(line, model)
-    after = compute_features(apply_rigid(motion, line), moved_model)
-    assert "plane_angle_deg" in before[1]
-    assert_same_features(before, after)
-    assert before[0]["shape_angle_deg"] == pytest.approx(180.0, rel=0.0, abs=1e-7)
+    moved = apply_rigid(motion, candidates)
+    # the whole batch, then each candidate as a batch of one row
+    batches = [slice(None)] + [slice(i, i + 1) for i in range(len(candidates))]
+    for rows in batches:
+        assert_same_features(candidate_features(candidates[rows], model),
+                             candidate_features(moved[rows], moved_model))
+    values, degenerate = candidate_features(candidates, model)
+    assert degenerate["plane_angle_deg"][-1]
+    assert values["shape_angle_deg"][-1] == pytest.approx(180.0, rel=0.0, abs=1e-7)
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,6 +1,7 @@
 """The benchmark's traced run wraps public names of the program by name
-(`bench/tracing.py`); a renamed or removed name turns its per-layer metrics
-into null.  Here such a rename fails a test that names the span."""
+(`bench/tracing.py`); a renamed or removed name, or a return value whose
+shape a counter no longer reads, turns its per-layer metrics into null.
+Here either fails a test that names the span or the metric."""
 import importlib.util
 import json
 from pathlib import Path
@@ -46,3 +47,8 @@ def test_every_traced_span_is_entered(tmp_path):
     never = {name for _, name, _, _ in tracing.TARGETS
              if name != "distances.bmd" and tracer.count(name) == 0}
     assert never == set()
+    # a counter that cannot read what its span returned marks the span dead
+    # and nulls every metric that needs it
+    assert tracer.dead == set()
+    metrics = tracing.layer_metrics(tracer)
+    assert [name for name, value in metrics.items() if value is None] == []
