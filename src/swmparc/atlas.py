@@ -204,56 +204,59 @@ def _uninformative_interval(feature: str) -> FeatureInterval:
 
 
 def feature_interval(
-    feature: str, samples: np.ndarray, config: RunConfig | None = None,
-) -> tuple[FeatureInterval, FittedDistribution | None]:
-    """Threshold interval for one feature from its sample array.
+    feature: str, samples: np.ndarray, fit: FittedDistribution | None,
+    config: RunConfig | None = None,
+) -> FeatureInterval:
+    """Threshold interval for one feature from its sample array and the fit
+    `build_atlas` made of it.
 
-    The config's `decile_low` and `decile_high` quantiles of the best fit
-    (`threshold_source` "fitted", at least `min_fit_samples` samples and some
-    family fits); empirical quantiles otherwise.  Features with fewer than 2
-    valid samples carry no information and get a full-domain auto-pass
-    interval.
+    The config's `decile_low` and `decile_high` quantiles of the fit when
+    there is one and they make an interval; empirical quantiles otherwise.
+    Features with fewer than 2 valid samples carry no information and get a
+    full-domain auto-pass interval.
     """
     cfg = config or RunConfig()
     low_q, high_q = cfg.decile_low, cfg.decile_high
     samples = np.asarray(samples, dtype=np.float64)
     if len(samples) < 2:
-        return _uninformative_interval(feature), None
-
-    def finalize(interval: FeatureInterval) -> FeatureInterval:
-        if feature in _LOWER_OPEN and interval.high > 0.0:
-            return FeatureInterval(0.0, interval.high, interval.source)
-        return interval
-
-    if cfg.threshold_source == "fitted" and len(samples) >= cfg.min_fit_samples:
-        fit = select_best(samples, cfg.min_fit_samples)
-        if fit is not None:
-            low = fit.quantile(low_q)
-            high = fit.quantile(high_q)
-            dom_lo, dom_hi = FEATURE_DOMAINS[feature]
-            low = max(low, dom_lo)
-            high = min(high, dom_hi)
-            if math.isfinite(low) and math.isfinite(high) and low < high:
-                return finalize(FeatureInterval(low, high, "fitted")), fit
-        return finalize(_empirical_interval(samples, low_q, high_q)), fit
-    return finalize(_empirical_interval(samples, low_q, high_q)), None
+        return _uninformative_interval(feature)
+    interval = None
+    if fit is not None:
+        dom_lo, dom_hi = FEATURE_DOMAINS[feature]
+        low = max(fit.quantile(low_q), dom_lo)
+        high = min(fit.quantile(high_q), dom_hi)
+        if math.isfinite(low) and math.isfinite(high) and low < high:
+            interval = FeatureInterval(low, high, "fitted")
+    if interval is None:
+        interval = _empirical_interval(samples, low_q, high_q)
+    if feature in _LOWER_OPEN and interval.high > 0.0:
+        return FeatureInterval(0.0, interval.high, interval.source)
+    return interval
 
 
 def build_bundle_model(bundle: Bundle, config: RunConfig | None = None) -> BundleModel:
-    """Analyze one atlas bundle into a BundleModel, its intervals set by the
-    config's deciles, `threshold_source` and `min_fit_samples`."""
-    model = _reference_model(bundle)
-    samples = compute_feature_samples(bundle, model)
-    thresholds: dict[str, FeatureInterval] = {}
-    fits: dict[str, FittedDistribution | None] = {}
-    for feature in FEATURE_NAMES:
-        thresholds[feature], fits[feature] = feature_interval(feature, samples[feature], config)
-    return replace(model, thresholds=thresholds, fits=fits)
+    """Analyze one atlas bundle into a BundleModel: the one-bundle atlas's."""
+    return build_atlas((bundle,), config).bundles[0]
 
 
 def build_atlas(bundles, config: RunConfig | None = None) -> AtlasModel:
-    """Build models for a full bundle set, each by `build_bundle_model` with
-    the one config (`RunConfig()` when None).  The atlas's K is the bundles'
+    """Build models for a full bundle set, their intervals set by one config's
+    deciles, `threshold_source` and `min_fit_samples` (`RunConfig()` when
+    None).
+
+    With `threshold_source` "fitted", every feature sample set of at least
+    `min_fit_samples` samples is fit, all of them in one `select_best` call,
+    which fits each set as it would alone.  The atlas's K is the bundles'
     points per streamline, which must be the same for all of them;
     `config.resample_k` is read by whoever resamples the bundles, not here."""
-    return AtlasModel(bundles=tuple(build_bundle_model(b, config) for b in bundles))
+    cfg = config or RunConfig()
+    models = [_reference_model(b) for b in bundles]
+    samples = [compute_feature_samples(m.bundle, m) for m in models]
+    wanted = [(i, f) for i, s in enumerate(samples) for f in FEATURE_NAMES
+              if cfg.threshold_source == "fitted" and len(s[f]) >= cfg.min_fit_samples]
+    fits = dict(zip(wanted, select_best([samples[i][f] for i, f in wanted], cfg.min_fit_samples)))
+    return AtlasModel(bundles=tuple(
+        replace(m, fits={f: fits.get((i, f)) for f in FEATURE_NAMES},
+                thresholds={f: feature_interval(f, s[f], fits.get((i, f)), cfg)
+                            for f in FEATURE_NAMES})
+        for i, (m, s) in enumerate(zip(models, samples))))

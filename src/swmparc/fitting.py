@@ -8,6 +8,12 @@ Families and their parameters:
   beta        alpha, beta on an affine support [lo, hi]
   burr        Burr XII c, k, lam:  F(y) = 1 - (1 + (y/lam)^c)^(-k)
 
+`select_best` fits any number of sample sets in one array pass: sets of one
+length are stacked as rows, in chunks of at most `_CHUNK_ELEMENTS` values (or
+one set), and each family is fit to all rows of a chunk at once, the Newton
+solves below in lockstep with each row stopping by its own rules.  A row's fit
+is thus the one its set gets alone, as with `fit_family`.
+
 Positive-support families are fit on y = x + shift with shift chosen so the
 samples are strictly positive; the shift is recorded in the fit and undone by
 pdf/cdf/quantile.  All fits maximize the likelihood.  Normal and log-normal
@@ -30,7 +36,8 @@ after _NEWTON_MAX_ITER steps, so every fit is deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc, betaln, digamma, gammainc, gammaln, ndtr, ndtri, zeta
@@ -41,15 +48,21 @@ SIGMA_FLOOR = 1e-6
 POSITIVE_SHIFT = 1e-6
 _NEWTON_MAX_ITER = 50
 _NEWTON_RTOL = 1e-12
-# Burr: the box its lam and c must stay in, as (log c, log lam) bounds (k
-# must stay in [1e-3, 1e3]); the longest step in log c and log lam, a factor
-# e^0.5, which keeps a solve in the basin of its start where a longer one
-# jumps past it to the box's edge; and the predicted fall, relative to
-# 1 + |nll|, below which a step is the last
-_BURR_BOX = (math.log(1e-3), math.log(1e3), math.log(SIGMA_FLOOR), math.log(1e6))
+# Burr: the (log c, log lam) box its c and lam must stay in (k must stay in
+# [1e-3, 1e3]); the longest step in log c and log lam, a factor e^0.5, which
+# keeps a solve in the basin of its start where a longer one jumps past it to
+# the box's edge; and the predicted fall, relative to 1 + |nll|, below which a
+# step is the last
+_BURR_BOX = np.log([[1e-3, 1e3], [SIGMA_FLOOR, 1e6]])
 _BURR_MAX_STEP = 0.5
 _BURR_FALL_RTOL = 1e-12
 _BISECT_TOL = 1e-8
+# Most values a chunk of stacked sample sets holds (256 KB); a solve keeps
+# about a dozen temporaries of a chunk's size, whatever the number of sets
+_CHUNK_ELEMENTS = 1 << 15
+# beta's step, whole and halved 1 to 63 times, as factors in a column
+_HALVES = 0.5 ** np.arange(64.0)[:, None]
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -61,113 +74,76 @@ class FittedDistribution:
     support: tuple[float, float] | None = None
 
     def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return _PDF[self.family](self, x + self.shift)
+        return _PDF[self.family](self.params, self.support, np.asarray(x, np.float64) + self.shift)
 
     def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return _CDF[self.family](self, x + self.shift)
+        return _CDF[self.family](self, np.asarray(x, np.float64) + self.shift)
 
     def quantile(self, p: float) -> float:
-        """Inverse CDF; closed form for normal/log-normal/burr, bisection on
-        the CDF (1e-8 absolute) for gamma/beta."""
+        """Inverse CDF; bisection on the CDF (1e-8 absolute) for gamma/beta."""
         if not 0.0 < p < 1.0:
             raise ValueError("p must lie in (0, 1)")
         return _QUANTILE[self.family](self, p) - self.shift
 
 
 # ---------------------------------------------------------------------------
-# family pdf/cdf/quantile (all evaluated in shifted y units)
+# family pdf/cdf/quantile (all evaluated in shifted y units); a pdf takes the
+# parameters as numbers or as (S, 1) columns, one row of y per fit
 
-def _normal_pdf(d, y):
-    mu, s = d.params["mu"], d.params["sigma"]
-    z = (y - mu) / s
-    return np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
-
-
-def _normal_cdf(d, y):
-    return ndtr((y - d.params["mu"]) / d.params["sigma"])
+def _normal_pdf(p, support, y):
+    z = (y - p["mu"]) / p["sigma"]
+    return np.exp(-0.5 * z * z) / (p["sigma"] * _SQRT_2PI)
 
 
-def _normal_quantile(d, p):
-    return d.params["mu"] + d.params["sigma"] * float(ndtri(p))
-
-
-def _lognormal_pdf(d, y):
-    mu, s = d.params["mu"], d.params["sigma"]
-    out = np.zeros_like(y)
+def _lognormal_pdf(p, support, y):
     pos = y > 0.0
-    z = (np.log(y[pos]) - mu) / s
-    out[pos] = np.exp(-0.5 * z * z) / (y[pos] * s * math.sqrt(2.0 * math.pi))
-    return out
+    y = np.where(pos, y, 1.0)
+    z = (np.log(y) - p["mu"]) / p["sigma"]
+    return np.where(pos, np.exp(-0.5 * z * z) / (y * p["sigma"] * _SQRT_2PI), 0.0)
 
 
 def _lognormal_cdf(d, y):
-    mu, s = d.params["mu"], d.params["sigma"]
-    out = np.zeros_like(y)
     pos = y > 0.0
-    out[pos] = ndtr((np.log(y[pos]) - mu) / s)
-    return out
+    z = (np.log(np.where(pos, y, 1.0)) - d.params["mu"]) / d.params["sigma"]
+    return np.where(pos, ndtr(z), 0.0)
 
 
-def _lognormal_quantile(d, p):
-    return math.exp(d.params["mu"] + d.params["sigma"] * float(ndtri(p)))
-
-
-def _gamma_pdf(d, y):
-    a, s = d.params["shape"], d.params["scale"]
-    out = np.zeros_like(y)
+def _gamma_pdf(p, support, y):
+    a, s = p["shape"], p["scale"]
     pos = y > 0.0
-    yp = y[pos]
-    out[pos] = np.exp((a - 1.0) * np.log(yp) - yp / s - gammaln(a) - a * math.log(s))
-    return out
+    y = np.where(pos, y, 1.0)
+    return np.where(pos, np.exp((a - 1.0) * np.log(y) - y / s - gammaln(a) - a * np.log(s)), 0.0)
 
 
-def _gamma_cdf(d, y):
-    a, s = d.params["shape"], d.params["scale"]
-    out = np.zeros_like(y)
-    pos = y > 0.0
-    out[pos] = gammainc(a, y[pos] / s)
-    return out
-
-
-def _beta_pdf(d, y):
-    a, b = d.params["alpha"], d.params["beta"]
-    lo, hi = d.support
-    width = hi - lo
-    u = (y - lo) / width
-    out = np.zeros_like(y)
+def _beta_pdf(p, support, y):
+    a, b = p["alpha"], p["beta"]
+    width = support[1] - support[0]
+    u = (y - support[0]) / width
     inside = (u > 0.0) & (u < 1.0)
-    ui = u[inside]
-    out[inside] = np.exp((a - 1.0) * np.log(ui) + (b - 1.0) * np.log1p(-ui)
-                         - betaln(a, b)) / width
-    return out
+    u = np.where(inside, u, 0.5)
+    return np.where(inside, np.exp((a - 1.0) * np.log(u) + (b - 1.0) * np.log1p(-u)
+                                   - betaln(a, b)) / width, 0.0)
 
 
 def _beta_cdf(d, y):
-    a, b = d.params["alpha"], d.params["beta"]
     lo, hi = d.support
-    u = np.clip((y - lo) / (hi - lo), 0.0, 1.0)
-    return betainc(a, b, u)
+    return betainc(d.params["alpha"], d.params["beta"], np.clip((y - lo) / (hi - lo), 0.0, 1.0))
 
 
-def _burr_pdf(d, y):
-    c, k, lam = d.params["c"], d.params["k"], d.params["lam"]
-    out = np.zeros_like(y)
+def _burr_pdf(p, support, y):
+    c, k, lam = p["c"], p["k"], p["lam"]
     pos = y > 0.0
-    logy = np.log(y[pos] / lam)
-    logpdf = (math.log(c) + math.log(k) - math.log(lam)
+    logy = np.log(np.where(pos, y, lam) / lam)
+    logpdf = (np.log(c) + np.log(k) - np.log(lam)
               + (c - 1.0) * logy - (k + 1.0) * np.logaddexp(0.0, c * logy))
-    out[pos] = np.exp(logpdf)
-    return out
+    return np.where(pos, np.exp(logpdf), 0.0)
 
 
 def _burr_cdf(d, y):
     c, k, lam = d.params["c"], d.params["k"], d.params["lam"]
-    out = np.zeros_like(y)
     pos = y > 0.0
-    out[pos] = -np.expm1(-k * np.logaddexp(0.0, c * np.log(y[pos] / lam)))
-    return out
+    logy = np.log(np.where(pos, y, lam) / lam)
+    return np.where(pos, -np.expm1(-k * np.logaddexp(0.0, c * logy)), 0.0)
 
 
 def _burr_quantile(d, p):
@@ -202,278 +178,271 @@ def _bisect_quantile(cdf, p, lo, hi):
     return 0.5 * (lo + hi)
 
 
-def _gamma_quantile(d, p):
-    a, s = d.params["shape"], d.params["scale"]
-    hi = s * (a + 10.0 * math.sqrt(a) + 10.0)
-    return _bisect_quantile(lambda y: _gamma_cdf(d, y), p, 0.0, hi)
-
-
-def _beta_quantile(d, p):
-    lo, hi = d.support
-    return _bisect_quantile(lambda y: _beta_cdf(d, y), p, lo, hi)
-
-
 _PDF = {"normal": _normal_pdf, "log-normal": _lognormal_pdf, "gamma": _gamma_pdf,
         "beta": _beta_pdf, "burr": _burr_pdf}
-_CDF = {"normal": _normal_cdf, "log-normal": _lognormal_cdf, "gamma": _gamma_cdf,
-        "beta": _beta_cdf, "burr": _burr_cdf}
-_QUANTILE = {"normal": _normal_quantile, "log-normal": _lognormal_quantile,
-             "gamma": _gamma_quantile, "beta": _beta_quantile, "burr": _burr_quantile}
+_CDF = {"normal": lambda d, y: ndtr((y - d.params["mu"]) / d.params["sigma"]),
+        "log-normal": _lognormal_cdf, "beta": _beta_cdf, "burr": _burr_cdf,
+        "gamma": lambda d, y: gammainc(d.params["shape"], np.maximum(y, 0.0) / d.params["scale"])}
+_QUANTILE = {
+    "normal": lambda d, p: d.params["mu"] + d.params["sigma"] * float(ndtri(p)),
+    "log-normal": lambda d, p: math.exp(d.params["mu"] + d.params["sigma"] * float(ndtri(p))),
+    "gamma": lambda d, p: _bisect_quantile(
+        lambda y: _CDF["gamma"](d, y), p, 0.0, d.params["scale"] * (
+            d.params["shape"] + 10.0 * math.sqrt(d.params["shape"]) + 10.0)),
+    "beta": lambda d, p: _bisect_quantile(lambda y: _beta_cdf(d, y), p, *d.support),
+    "burr": _burr_quantile,
+}
 
 
 # ---------------------------------------------------------------------------
-# fitting
+# fitting: every function below works on the rows of an (S, n) sample array
 
-def _positive_shift(x: np.ndarray) -> float:
-    lo = float(x.min())
-    return POSITIVE_SHIFT - lo if lo <= 0.0 else 0.0
-
-
-def _sane_params(*values, lo: float = 1e-6, hi: float = 1e6) -> bool:
-    """Numeric-MLE solutions outside this range describe the samples no
-    better than a boundary fit and break quantile evaluation downstream."""
-    return all(math.isfinite(v) and lo <= v <= hi for v in values)
+# one family's fits of a chunk's rows: per-row parameter arrays, whether each
+# row has a fit, the shifts and (beta's) supports
+_Fits = namedtuple("_Fits", "params ok shift support", defaults=(None,))
 
 
-def _fit_normal(x: np.ndarray) -> FittedDistribution:
-    mu = float(np.mean(x))
-    sigma = max(float(np.std(x)), SIGMA_FLOOR)
-    return FittedDistribution("normal", {"mu": mu, "sigma": sigma}, math.nan)
+def _positive_shift(x: np.ndarray) -> np.ndarray:
+    lo = x.min(axis=-1)
+    return np.where(lo <= 0.0, POSITIVE_SHIFT - lo, 0.0)
 
 
-def _fit_lognormal(x: np.ndarray) -> FittedDistribution:
+def _sane_params(*values, lo: float = 1e-6, hi: float = 1e6) -> np.ndarray:
+    """Numeric-MLE solutions outside [lo, hi] fit no better than a boundary
+    fit and break quantile evaluation downstream."""
+    return np.logical_and.reduce([np.isfinite(v) & (lo <= v) & (v <= hi) for v in values])
+
+
+def _fit_normal(x: np.ndarray) -> _Fits:
+    sigma = np.maximum(x.std(axis=1), SIGMA_FLOOR)
+    return _Fits({"mu": x.mean(axis=1), "sigma": sigma}, np.ones(len(x), bool), np.zeros(len(x)))
+
+
+def _fit_lognormal(x: np.ndarray) -> _Fits:
     shift = _positive_shift(x)
-    logs = np.log(x + shift)
-    mu = float(np.mean(logs))
-    sigma = max(float(np.std(logs)), SIGMA_FLOOR)
-    return FittedDistribution("log-normal", {"mu": mu, "sigma": sigma}, math.nan, shift=shift)
+    logs = np.log(x + shift[:, None])
+    sigma = np.maximum(logs.std(axis=1), SIGMA_FLOOR)
+    return _Fits({"mu": logs.mean(axis=1), "sigma": sigma}, np.ones(len(x), bool), shift)
 
 
-def _fit_gamma(x: np.ndarray) -> FittedDistribution | None:
+def _fit_gamma(x: np.ndarray) -> _Fits:
     shift = _positive_shift(x)
-    y = x + shift
-    mean = float(np.mean(y))
+    y = x + shift[:, None]
+    mean = y.mean(axis=1)
     # at the scale's MLE mean / a the likelihood is stationary where
     # log a - digamma(a) = log mean(y) - mean(log y); the right side is 0 but
     # for rounding when the samples are equal
-    target = math.log(mean) - float(np.mean(np.log(y)))
-    if not target > 0.0:
-        return None
+    target = np.log(mean) - np.log(y).mean(axis=1)
+    ok = target > 0.0
     # Minka's closed-form start and generalized Newton step on 1 / a.  A shape
-    # past the sane range is rejected anyway, and its step's denominator
-    # rounds to 0; past a few hundred the step stalls at the rounding of
-    # log a - digamma(a), so a step no smaller than the last ends the solve
-    a = (3.0 - target + math.sqrt((target - 3.0) ** 2 + 24.0 * target)) / (12.0 * target)
-    last = math.inf
+    # past the sane range is rejected anyway; past a few hundred the step
+    # stalls at the rounding of log a - digamma(a), so a step no smaller than
+    # the last ends the solve
+    a = (3.0 - target + np.sqrt((target - 3.0) ** 2 + 24.0 * target)) / (12.0 * target)
+    active, last = ok.copy(), np.full(len(x), np.inf)
     for _ in range(_NEWTON_MAX_ITER):
-        if not _sane_params(a):
-            return None
-        gap = math.log(a) - float(digamma(a)) - target
-        new = 1.0 / (1.0 / a + gap / (a * a * (1.0 / a - float(zeta(2.0, a)))))
-        step = abs(new - a)
-        a = new
-        if step <= _NEWTON_RTOL * a or step >= last:
+        ok &= ~active | _sane_params(a)
+        active &= ok
+        if not active.any():
             break
+        # done rows take a shape of 1: zeta(2, a) is slow for a far below 0
+        at = np.where(active, a, 1.0)
+        gap = np.log(at) - digamma(at) - target
+        new = 1.0 / (1.0 / at + gap / (at * at * (1.0 / at - zeta(2.0, at))))
+        step = np.abs(new - at)
+        a = np.where(active, new, a)
+        active &= ~((step <= _NEWTON_RTOL * a) | (step >= last))
         last = step
-    scale = max(mean / a, SIGMA_FLOOR)
-    if not _sane_params(a, scale):
-        return None
-    return FittedDistribution("gamma", {"shape": a, "scale": scale}, math.nan, shift=shift)
+    scale = np.maximum(mean / a, SIGMA_FLOOR)
+    return _Fits({"shape": a, "scale": scale}, ok & _sane_params(a, scale), shift)
 
 
-def _fit_beta(x: np.ndarray) -> FittedDistribution | None:
-    lo = float(x.min()) - 1e-6
-    hi = float(x.max()) + 1e-6
-    width = hi - lo
-    u = (x - lo) / width
-    m = float(np.mean(u))
-    v = float(np.var(u))
-    if v <= 0.0:
-        return None
-    common = max(m * (1.0 - m) / v - 1.0, 1e-3)
-    a = max(m * common, 1e-3)
-    b = max((1.0 - m) * common, 1e-3)
-    mean_logu = float(np.mean(np.log(u)))
-    mean_log1mu = float(np.mean(np.log1p(-u)))
+def _fit_beta(x: np.ndarray) -> _Fits:
+    lo, hi = x.min(axis=1) - 1e-6, x.max(axis=1) + 1e-6
+    u = (x - lo[:, None]) / (hi - lo)[:, None]
+    m, v = u.mean(axis=1), u.var(axis=1)
+    ok = v > 0.0
+    common = np.maximum(m * (1.0 - m) / v - 1.0, 1e-3)
+    a, b = np.maximum(m * common, 1e-3), np.maximum((1.0 - m) * common, 1e-3)
+    mean_logu, mean_log1mu = np.log(u).mean(axis=1), np.log1p(-u).mean(axis=1)
 
-    def nll(a, b):
+    def nll(a, b, rows):
         # per sample; convex in (a, b)
-        return float((1.0 - a) * mean_logu + (1.0 - b) * mean_log1mu + betaln(a, b))
+        return (1.0 - a) * mean_logu[rows] + (1.0 - b) * mean_log1mu[rows] + betaln(a, b)
 
     # Newton on the gradient digamma(a) - digamma(a + b) - mean log u,
-    # digamma(b) - digamma(a + b) - mean log(1 - u), with the trigamma
-    # (zeta(2, .)) Hessian; a step is halved until both parameters stay
-    # positive and the likelihood does not fall
-    f = nll(a, b)
-    if not math.isfinite(f):            # a sample at an end of the support
-        return None
+    # digamma(b) - digamma(a + b) - mean log(1 - u) with the trigamma Hessian
+    # zeta(2, .); a step is halved until a and b stay positive and f does not rise
+    f = nll(a, b, slice(None))
+    ok &= np.isfinite(f)                # a sample at an end of the support
+    active = ok.copy()
     for _ in range(_NEWTON_MAX_ITER):
-        params = np.array([a, b, a + b])
-        psi_a, psi_b, psi_ab = digamma(params).tolist()
-        tri_a, tri_b, tri_ab = zeta(2.0, params).tolist()
-        ga = psi_a - psi_ab - mean_logu
-        gb = psi_b - psi_ab - mean_log1mu
+        if not active.any():
+            break
+        params = np.stack((a, b, a + b))
+        psi_a, psi_b, psi_ab = digamma(params)
+        tri_a, tri_b, tri_ab = zeta(2.0, params)
+        ga, gb = psi_a - psi_ab - mean_logu, psi_b - psi_ab - mean_log1mu
         haa, hbb = tri_a - tri_ab, tri_b - tri_ab
         det = haa * hbb - tri_ab * tri_ab
-        if not 0.0 < det < math.inf:
-            return None
-        da = -(hbb * ga + tri_ab * gb) / det
-        db = -(haa * gb + tri_ab * ga) / det
-        if abs(da) <= _NEWTON_RTOL * a and abs(db) <= _NEWTON_RTOL * b:
-            a, b = a + da, b + db
-            break
-        for _ in range(64):             # past that the step is below rounding
-            na, nb = a + da, b + db
-            if na > 0.0 and nb > 0.0:
-                nf = nll(na, nb)
-                if nf <= f:
-                    break
-            da, db = 0.5 * da, 0.5 * db
-        else:
-            break
-        done = abs(na - a) <= _NEWTON_RTOL * na and abs(nb - b) <= _NEWTON_RTOL * nb
+        ok &= ~active | ((0.0 < det) & (det < np.inf))
+        da, db = -(hbb * ga + tri_ab * gb) / det, -(haa * gb + tri_ab * ga) / det
+        near = ok & active & (np.abs(da) <= _NEWTON_RTOL * a) & (np.abs(db) <= _NEWTON_RTOL * b)
+        a, b = np.where(near, a + da, a), np.where(near, b + db, b)
+        active &= ok & ~near
+        # the whole step, then the step halved 1 to 63 times (past that it is
+        # below rounding) at once, in slices of rows within a chunk's size
+        na, nb, nf, moved = a.copy(), b.copy(), f.copy(), ~active
+        for halves in (_HALVES[:1], _HALVES[1:]):
+            trying, per = np.flatnonzero(~moved), max(1, _CHUNK_ELEMENTS // len(halves))
+            for rows in (trying[i:i + per] for i in range(0, len(trying), per)):
+                ta, tb = a[rows] + da[rows] * halves, b[rows] + db[rows] * halves
+                tf = nll(ta, tb, rows)
+                fell = (ta > 0.0) & (tb > 0.0) & (tf <= f[rows])
+                found, first = fell.any(axis=0), fell.argmax(axis=0)
+                cols, first, rows = np.flatnonzero(found), first[found], rows[found]
+                na[rows], nb[rows], nf[rows] = ta[first, cols], tb[first, cols], tf[first, cols]
+                moved[rows] = True
+        done = (np.abs(na - a) <= _NEWTON_RTOL * na) & (np.abs(nb - b) <= _NEWTON_RTOL * nb)
         a, b, f = na, nb, nf
-        if done:
-            break
-    if not _sane_params(a, b):
-        return None
-    return FittedDistribution("beta", {"alpha": a, "beta": b}, math.nan, support=(lo, hi))
+        active &= moved & ~done
+    return _Fits({"alpha": a, "beta": b}, ok & _sane_params(a, b), np.zeros(len(x)), (lo, hi))
 
 
-def _burr_nll(logy: np.ndarray, sum_logy: float, t) -> tuple[float, tuple]:
-    """Burr XII negative log-likelihood of the samples exp(logy) at
-    t = (log c, log lam), with k at its MLE n / sum(log1p((y / lam)^c)).
-
-    Returns the value, inf where it is not a finite number, and the state
-    `_burr_derivatives` works from: z = c (log y - log lam), softplus(z) =
-    log1p((y / lam)^c) and the sum of softplus(z).
-    """
-    n = len(logy)
-    try:
-        c = math.exp(t[0])
-    except OverflowError:
-        return math.inf, ()
-    z = c * (logy - t[1])
+def _burr_nll(logy: np.ndarray, sum_logy: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Burr XII negative log-likelihood of each row of samples exp(logy), an
+    (S, n) array, at the columns of t = (log c, log lam), a (2, S) array,
+    with k at its MLE n / sum(log1p((y / lam)^c)): the values, inf where not
+    finite, and the state `_burr_derivatives` works from, z = c (log y -
+    log lam), softplus(z) = log1p((y / lam)^c) and its row sums."""
+    n = logy.shape[1]
+    z = np.exp(t[0])[:, None] * (logy - t[1][:, None])
     softplus = np.logaddexp(0.0, z)
-    total = float(np.add.reduce(softplus))
-    # a product past the float range makes the sum inf, NaN or 0
-    if not 0.0 < total < math.inf:
-        return math.inf, ()
+    total = np.add.reduce(softplus, axis=1)
     # at k's MLE, (k + 1) * total is n + total; (c - 1) sum(log y - log lam)
     # - total is written sum(z - softplus(z)) - sum(log y - log lam), whose
     # terms stay exact where z is large
-    val = (n * (t[0] + math.log(n / total) - t[1])
-           + float(np.add.reduce(z - softplus)) - (sum_logy - n * t[1]) - n)
-    return (-val if math.isfinite(val) else math.inf), (z, softplus, total)
+    val = (n * (t[0] + np.log(n / total) - t[1])
+           + np.add.reduce(z - softplus, axis=1) - (sum_logy - n * t[1]) - n)
+    # a product past the float range makes the sum inf, NaN or 0, and so the
+    # value not finite
+    return np.where(np.isfinite(val), -val, np.inf), (z, softplus, total)
 
 
-def _burr_derivatives(t, state) -> tuple[tuple[float, float], tuple[float, float, float]]:
-    """Gradient and Hessian (h00, h01, h11) of `_burr_nll` over t, from the
-    state it returned at t.
-
-    With s = sigmoid(z) = 1 - exp(-softplus(z)), r = s (1 - s), S the sum of
-    softplus(z) and q = n / S + 1, the log-likelihood's gradient is
-    (n + sum z - q sum s z, c (q sum s - n)).
-    """
+def _burr_derivatives(t: np.ndarray, state) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (2, S) and Hessians (h00, h01, h11), a (3, S) array, of
+    `_burr_nll` over t, from the state it returned at t.  With s = sigmoid(z) =
+    1 - exp(-softplus(z)), r = s (1 - s), S the sum of softplus(z) and
+    q = n / S + 1, the log-likelihood's gradient is
+    (n + sum z - q sum s z, c (q sum s - n))."""
     z, softplus, total = state
-    n = len(z)
-    c = math.exp(t[0])
-    minus = -softplus
-    rest = np.exp(minus)                # 1 - s, exact where z is large
-    s = -np.expm1(minus)                # exact where s is small
+    n = z.shape[1]
+    c = np.exp(t[0])
+    rest = np.exp(-softplus)            # 1 - s, exact where z is large
+    s = -np.expm1(-softplus)            # exact where s is small
     r = s * rest
     rz = r * z
-    sum_z = float(np.add.reduce(z))
-    sz, ss = float(np.dot(s, z)), float(np.add.reduce(s))
-    r0, r1, r2 = float(np.add.reduce(r)), float(np.add.reduce(rz)), float(np.dot(rz, z))
+    sum_z, sz, ss = (np.add.reduce(v, axis=1) for v in (z, s * z, s))
+    r0, r1, r2 = (np.add.reduce(v, axis=1) for v in (r, rz, rz * z))
     q = n / total + 1.0
     a, b = sz / total, ss / total
-    gradient = (q * sz - n - sum_z, c * (n - q * ss))
-    hessian = (q * (r2 + sz) - sum_z - n * a * a,
-               c * (n + n * a * b - q * (r1 + ss)),
-               c * c * (q * r0 - n * b * b))
+    gradient = np.array([q * sz - n - sum_z, c * (n - q * ss)])
+    hessian = np.array([q * (r2 + sz) - sum_z - n * a * a,
+                        c * (n + n * a * b - q * (r1 + ss)), c * c * (q * r0 - n * b * b)])
     return gradient, hessian
 
 
-def _descent_step(gradient, hessian) -> tuple[float, float] | None:
-    """Newton step -H^-1 g for a symmetric 2 x 2 H given as (h00, h01, h11),
-    with each eigenvalue replaced by its magnitude, and at least 1e-12 of the
-    largest, where H is not positive definite.  None when H is 0 or not a
-    number."""
+def _descent_step(gradient: np.ndarray, hessian: np.ndarray) -> np.ndarray:
+    """Newton steps -H^-1 g for symmetric 2 x 2 H given as (h00, h01, h11), each
+    eigenvalue replaced by its magnitude, and at least 1e-12 of the largest,
+    where H is not positive definite; NaN where H is 0 or not a number."""
     g0, g1 = gradient
     a, b, d = hessian
     det = a * d - b * b
-    if a > 0.0 and det > 0.0 and math.isfinite(det):
-        return (b * g1 - d * g0) / det, (b * g0 - a * g1) / det
-    mid, radius = 0.5 * (a + d), math.hypot(0.5 * (a - d), b)
+    step = np.array([(b * g1 - d * g0) / det, (b * g0 - a * g1) / det])
+    bent = ~((a > 0.0) & (det > 0.0) & np.isfinite(det))
+    if not bent.any():
+        return step
+    g0, g1, a, b, d = g0[bent], g1[bent], a[bent], b[bent], d[bent]
+    mid, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
     big, small = mid + radius, mid - radius
-    floor = 1e-12 * max(abs(big), abs(small))
-    if not 0.0 < floor < math.inf:
-        return None
+    floor = 1e-12 * np.maximum(np.abs(big), np.abs(small))
     # unit eigenvector of the larger eigenvalue: the longer row of H - big I
     # turned a quarter; the other eigenvector is its normal
-    v0, v1 = (big - d, b) if abs(big - d) >= abs(big - a) else (b, big - a)
-    norm = math.hypot(v0, v1)
-    v0, v1 = (v0 / norm, v1 / norm) if norm > 0.0 else (1.0, 0.0)
-    along = -(v0 * g0 + v1 * g1) / max(abs(big), floor)
-    across = -(v0 * g1 - v1 * g0) / max(abs(small), floor)
-    return along * v0 - across * v1, along * v1 + across * v0
+    first = np.abs(big - d) >= np.abs(big - a)
+    v0, v1 = np.where(first, big - d, b), np.where(first, b, big - a)
+    norm = np.hypot(v0, v1)
+    v0, v1 = np.where(norm > 0.0, v0 / norm, 1.0), np.where(norm > 0.0, v1 / norm, 0.0)
+    along = -(v0 * g0 + v1 * g1) / np.maximum(np.abs(big), floor)
+    across = -(v0 * g1 - v1 * g0) / np.maximum(np.abs(small), floor)
+    step[:, bent] = np.where((0.0 < floor) & (floor < np.inf),
+                             [along * v0 - across * v1, along * v1 + across * v0], np.nan)
+    return step
 
 
-def _in_burr_box(t, state) -> bool:
-    """c and k in [1e-3, 1e3] and lam in [SIGMA_FLOOR, 1e6] at t = (log c,
-    log lam), with k = n / sum(softplus) from `_burr_nll`'s state at t."""
-    k = len(state[0]) / state[2]
-    return (_BURR_BOX[0] <= t[0] <= _BURR_BOX[1] and _BURR_BOX[2] <= t[1] <= _BURR_BOX[3]
-            and 1e-3 <= k <= 1e3)
+def _in_burr_box(t: np.ndarray, state) -> np.ndarray:
+    """c, k in [1e-3, 1e3], lam in [SIGMA_FLOOR, 1e6] at t; k from the state."""
+    k = state[0].shape[1] / state[2]
+    inside = (_BURR_BOX[:, :1] <= t) & (t <= _BURR_BOX[:, 1:])
+    return inside[0] & inside[1] & (1e-3 <= k) & (k <= 1e3)
 
 
-def _fit_burr(x: np.ndarray) -> FittedDistribution | None:
+def _fit_burr(x: np.ndarray) -> _Fits:
     shift = _positive_shift(x)
-    y = x + shift
+    y = x + shift[:, None]
     logy = np.log(y)
-    spread = float(np.std(logy))
-    if spread <= 0.0:
-        return None
-    t = (math.log(max(math.pi / (math.sqrt(3.0) * spread), 0.1)), math.log(float(np.median(y))))
-    sum_logy = float(np.add.reduce(logy))
-    # the products past the float range are expected: they come out inf, and
-    # such a trial is halved
-    with np.errstate(over="ignore"):
-        f, state = _burr_nll(logy, sum_logy, t)
-        if not (math.isfinite(f) and _in_burr_box(t, state)):
-            return None
-        for _ in range(_NEWTON_MAX_ITER):
-            gradient, hessian = _burr_derivatives(t, state)
-            step = _descent_step(gradient, hessian)
-            if step is None:
-                return None
-            longest = max(abs(step[0]), abs(step[1]))
-            if longest > _BURR_MAX_STEP:
-                step = (step[0] * _BURR_MAX_STEP / longest, step[1] * _BURR_MAX_STEP / longest)
-            # a step whose predicted fall is within the likelihood's rounding
-            # is the last; it is taken without a fall test, which rounding
-            # would decide
-            fall = -(gradient[0] * step[0] + gradient[1] * step[1])
-            last = fall <= _BURR_FALL_RTOL * (1.0 + abs(f))
-            while True:
-                trial = (t[0] + step[0], t[1] + step[1])
-                f_trial, trial_state = _burr_nll(logy, sum_logy, trial)
-                accepted = f_trial < f or last and f_trial < math.inf
-                if accepted or max(abs(step[0]), abs(step[1])) <= _NEWTON_RTOL:
-                    break
-                step = (0.5 * step[0], 0.5 * step[1])
-            if not accepted:
-                break                       # no fall above rounding
-            t, f, state = trial, f_trial, trial_state
-            if not _in_burr_box(t, state):
-                return None
-            if last:
-                break
-    c, lam = math.exp(t[0]), math.exp(t[1])
+    spread = logy.std(axis=1)
+    t = np.array([np.log(np.maximum(math.pi / (math.sqrt(3.0) * spread), 0.1)),
+                  np.log(np.median(y, axis=1))])
+    # where each row's solve stands; the arrays of the live rows shrink as rows end
+    end_t, end_total, ok = t.copy(), np.ones(len(x)), spread > 0.0
+    live = np.flatnonzero(ok)
+    logy, t = logy[live], t[:, live]
+    sum_logy = np.add.reduce(logy, axis=1)
+    f, state = _burr_nll(logy, sum_logy, t)
+    keep = np.isfinite(f) & _in_burr_box(t, state)
+    ok[live[~keep]] = False
+    for _ in range(_NEWTON_MAX_ITER):
+        if not keep.all():
+            live, logy, sum_logy, t, f = live[keep], logy[keep], sum_logy[keep], t[:, keep], f[keep]
+            state = tuple(v[keep] for v in state)
+        if not len(live):
+            break
+        gradient, hessian = _burr_derivatives(t, state)
+        step = _descent_step(gradient, hessian)
+        longest = np.abs(step).max(axis=0)
+        stepped = np.isfinite(longest)
+        step = np.where(longest > _BURR_MAX_STEP, step * _BURR_MAX_STEP / longest, step)
+        # a step whose predicted fall is within the likelihood's rounding is
+        # the last; it is taken without a fall test, which rounding would
+        # decide
+        fall = -(gradient[0] * step[0] + gradient[1] * step[1])
+        last = fall <= _BURR_FALL_RTOL * (1.0 + np.abs(f))
+        trial = t + step
+        f_trial, trial_state = _burr_nll(logy, sum_logy, trial)
+        accepted = stepped & ((f_trial < f) | last & (f_trial < np.inf))
+        halving = np.flatnonzero(stepped & ~accepted & (np.abs(step).max(axis=0) > _NEWTON_RTOL))
+        while len(halving):
+            step[:, halving] *= 0.5
+            part = t[:, halving] + step[:, halving]
+            f_part, part_state = _burr_nll(logy[halving], sum_logy[halving], part)
+            fell = (f_part < f[halving]) | last[halving] & (f_part < np.inf)
+            rows = halving[fell]
+            trial[:, rows], f_trial[rows], accepted[rows] = part[:, fell], f_part[fell], True
+            for whole, piece in zip(trial_state, part_state):
+                whole[rows] = piece[fell]
+            halving = halving[~fell & (np.abs(step[:, halving]).max(axis=0) > _NEWTON_RTOL)]
+        # a row with no step, or whose step leaves the box, ends with no fit;
+        # one whose likelihood falls no more above rounding ends where it
+        # stands, one after its last step where that takes it
+        inside = _in_burr_box(trial, trial_state)
+        ok[live[~stepped | accepted & ~inside]] = False
+        end_t[:, live] = np.where(accepted, trial, t)
+        end_total[live] = np.where(accepted, trial_state[2], state[2])
+        t, f, state, keep = trial, f_trial, trial_state, accepted & inside & ~last
+    c, lam = np.exp(end_t)
     # k at the returned (c, lam)
-    k = len(y) / state[2]
-    return FittedDistribution("burr", {"c": c, "k": k, "lam": lam}, math.nan, shift=shift)
+    return _Fits({"c": c, "k": x.shape[1] / end_total, "lam": lam}, ok, shift)
 
 
 _FITTERS = {"normal": _fit_normal, "log-normal": _fit_lognormal, "gamma": _fit_gamma,
@@ -484,64 +453,95 @@ def histogram_bins(n: int) -> int:
     return max(10, math.ceil(math.sqrt(n)))
 
 
-def empirical_histogram(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Density of max(10, ceil(sqrt(n))) equal-width bins over [min, max] and
-    the bin centers; None when the sample span is degenerate."""
-    samples = np.asarray(samples, dtype=np.float64)
-    lo, hi = float(samples.min()), float(samples.max())
-    if hi - lo <= 1e-12:
-        return None
-    bins = histogram_bins(len(samples))
-    density, edges = np.histogram(samples, bins=bins, range=(lo, hi), density=True)
-    return density, 0.5 * (edges[:-1] + edges[1:])
-
-
-def sse_against_histogram(dist: FittedDistribution, histogram) -> float:
-    """Sum of squared differences between an `empirical_histogram` and the
-    fitted pdf at its bin centers.  +inf when the histogram is None."""
-    if histogram is None:
-        return math.inf
-    density, centers = histogram
-    pdf = dist.pdf(centers)
-    if not np.all(np.isfinite(pdf)):
-        return math.inf
-    return float(np.sum((density - pdf) ** 2))
+def empirical_histograms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of x: the density of max(10, ceil(sqrt(n))) equal-width bins
+    over [min, max], the bin centers, and whether the span is more than 1e-12
+    (the histogram is degenerate otherwise).  These are np.histogram's: edges
+    spaced as by np.linspace, each sample in the bin whose edges bracket it
+    (the last bin closed), found from its scaled offset and moved by one bin
+    where the edges disagree."""
+    rows, n = x.shape
+    bins = histogram_bins(n)
+    lo, hi = x.min(axis=1), x.max(axis=1)
+    spans = hi - lo > 1e-12
+    width = np.where(spans, hi - lo, 1.0)
+    edges = np.arange(bins + 1) * (width / bins)[:, None] + lo[:, None]
+    edges[:, -1] = hi
+    index = np.minimum(((x - lo[:, None]) / width[:, None] * bins).astype(np.intp), bins - 1)
+    index -= x < np.take_along_axis(edges, index, axis=1)
+    index += (x >= np.take_along_axis(edges, index + 1, axis=1)) & (index != bins - 1)
+    index += bins * np.arange(rows)[:, None]
+    counts = np.bincount(index.ravel(), minlength=rows * bins).reshape(rows, bins)
+    return counts / np.diff(edges, axis=1) / n, 0.5 * (edges[:, :-1] + edges[:, 1:]), spans
 
 
 def _validated(samples, min_samples: int) -> np.ndarray:
     x = np.asarray(samples, dtype=np.float64)
-    if len(x) < min_samples:
-        raise ValueError(f"need at least {min_samples} samples")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("samples must be finite")
+    if x.ndim != 1 or len(x) < min_samples or not np.all(np.isfinite(x)):
+        raise ValueError(f"a sample set must be one-dimensional, finite and at least "
+                         f"{min_samples} samples long")
     return x
 
 
-def _scored(fit: FittedDistribution | None, histogram) -> FittedDistribution | None:
-    return None if fit is None else replace(fit, sse=sse_against_histogram(fit, histogram))
+def _scored_fits(x: np.ndarray, families, histograms) -> dict[str, tuple[_Fits, np.ndarray]]:
+    """Each family's fits of the rows of x and their SSE, the sum of squared
+    differences between a row's histogram density and the fitted pdf at the
+    bin centers: inf where a row has no fit, no histogram or no finite pdf."""
+    density, centers, spans = histograms
+    scored = {}
+    with np.errstate(all="ignore"):
+        for family in families:
+            fits = _FITTERS[family](x)
+            params = {name: v[:, None] for name, v in fits.params.items()}
+            support = None if fits.support is None else tuple(v[:, None] for v in fits.support)
+            pdf = _PDF[family](params, support, centers + fits.shift[:, None])
+            scored[family] = fits, np.where(fits.ok & spans & np.isfinite(pdf).all(axis=1),
+                                            np.add.reduce((density - pdf) ** 2, axis=1), np.inf)
+    return scored
+
+
+def _row_fit(family: str, fits: _Fits, row: int, sse: float) -> FittedDistribution:
+    support = None if fits.support is None else tuple(float(v[row]) for v in fits.support)
+    return FittedDistribution(family, {name: float(v[row]) for name, v in fits.params.items()},
+                              float(sse), shift=float(fits.shift[row]), support=support)
 
 
 def fit_family(samples, family: str, min_samples: int = 8) -> FittedDistribution | None:
     """Fit one family to a sample set; None when the fit is unavailable
-    (divergence or invalid parameters)."""
+    (divergence or invalid parameters).  Its SSE is inf when the samples span
+    no histogram."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family: {family}")
-    x = _validated(samples, min_samples)
-    return _scored(_FITTERS[family](x), empirical_histogram(x))
+    x = np.ascontiguousarray(_validated(samples, min_samples))[None]
+    fits, sse = _scored_fits(x, (family,), empirical_histograms(x))[family]
+    return _row_fit(family, fits, 0, sse[0]) if fits.ok[0] else None
 
 
-def select_best(samples, min_samples: int = 8) -> FittedDistribution | None:
-    """Fit all five families, return the one with smallest histogram SSE.
-
-    Ties break by family order (normal < log-normal < gamma < beta < burr).
-    Returns None when no family has a finite SSE, without fitting any when
-    the samples span no histogram; the caller then falls back to empirical
-    thresholds.
-    """
-    x = _validated(samples, min_samples)
-    histogram = empirical_histogram(x)
-    if histogram is None:
-        return None
-    fits = (_scored(_FITTERS[family](x), histogram) for family in FAMILIES)
-    return min((fit for fit in fits if fit is not None and math.isfinite(fit.sse)),
-               key=lambda fit: fit.sse, default=None)
+def select_best(sample_sets, min_samples: int = 8) -> list[FittedDistribution | None]:
+    """For each sample set, the fit of the five families with the smallest
+    histogram SSE, the one the set gets alone.  Ties break by family order
+    (normal < log-normal < gamma < beta < burr).  A set gets None when no
+    family has a finite SSE, and no family is fit to a set that spans no
+    histogram; the caller then falls back to empirical thresholds."""
+    sets = [_validated(x, min_samples) for x in sample_sets]
+    by_length: dict[int, list[int]] = {}
+    for i, x in enumerate(sets):
+        by_length.setdefault(len(x), []).append(i)
+    best: list[FittedDistribution | None] = [None] * len(sets)
+    for n, indices in by_length.items():
+        per = max(1, _CHUNK_ELEMENTS // n)
+        for part in (indices[i:i + per] for i in range(0, len(indices), per)):
+            x = np.stack([sets[i] for i in part])
+            histograms = empirical_histograms(x)
+            spans = histograms[2]
+            part = [i for i, spanned in zip(part, spans) if spanned]
+            if not part:
+                continue
+            x, histograms = x[spans], [v[spans] for v in histograms]
+            scored = _scored_fits(x, FAMILIES, histograms)
+            sse = np.stack([scored[family][1] for family in FAMILIES])
+            for row, (i, winner) in enumerate(zip(part, np.argmin(sse, axis=0))):
+                if sse[winner, row] < np.inf:
+                    family = FAMILIES[winner]
+                    best[i] = _row_fit(family, scored[family][0], row, sse[winner, row])
+    return best

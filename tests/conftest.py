@@ -26,6 +26,15 @@ def fit_all_families(samples, min_samples=8):
     return {family: fit_family(samples, family, min_samples) for family in FAMILIES}
 
 
+def fit_bits(fit):
+    """A fit as family, parameter names and the bytes of its numbers, so
+    that two fits compare equal only when they are equal bit for bit."""
+    if fit is None:
+        return None
+    values = [*fit.params.values(), fit.sse, fit.shift, *(fit.support or ())]
+    return fit.family, tuple(fit.params), np.array(values).tobytes()
+
+
 def reference_bfgs(fg, x0, f0, g0, scale, maxfev, xatol, fatol):
     """The descent as it ran when every line-search trial also computed the
     gradient: ``fg(x)`` returns the cost and the gradient.  The oracle of

@@ -242,7 +242,7 @@ def test_criterion_05_distribution_fitting():
     for trial in range(100):
         rng = np.random.default_rng(500 + trial)
         x = rng.gamma(2.0, 3.0, 10000)
-        best = select_best(x)
+        best = select_best([x])[0]
         fits = fit_all_families(x)
         finite = [f.sse for f in fits.values()
                   if f is not None and math.isfinite(f.sse)]

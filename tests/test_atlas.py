@@ -19,11 +19,12 @@ from swmparc.atlas import (
 from swmparc.clustering import quickbundles
 from swmparc.config import FEATURE_NAMES, RunConfig
 from swmparc.distances import mmea, pairwise_mmea
+from swmparc.fitting import select_best
 from swmparc.geometry import Bundle, arc_lengths, bundle_barycenter, midpoints
 from swmparc.serialization import read_atlas, write_atlas
 from swmparc.synth import ArcSpec, generate_bundle
 
-from conftest import random_streamlines
+from conftest import fit_bits, random_streamlines
 
 
 def arc_bundle(seed=0, count=50, jitter=0.5):
@@ -137,23 +138,24 @@ def test_interval_validation():
 
 def test_fitted_interval_brackets_most_samples(rng):
     x = rng.normal(40.0, 3.0, 500)
-    interval, fit = feature_interval("length_mm", x)
-    assert interval.source == "fitted"
+    fit, = select_best([x])
     assert fit is not None
+    interval = feature_interval("length_mm", x, fit)
+    assert interval.source == "fitted"
     inside = np.mean((x >= interval.low) & (x <= interval.high))
     assert 0.7 < inside < 0.9
 
 
 def test_interval_clamped_to_domain(rng):
     x = np.abs(rng.normal(0.0, 3.0, 300))  # q10 of a fitted normal may be < 0
-    interval, _ = feature_interval("dist_to_barycenter_mm", x)
+    interval = feature_interval("dist_to_barycenter_mm", x, select_best([x])[0])
     assert interval.low >= 0.0
     assert interval.high <= FEATURE_DOMAINS["dist_to_barycenter_mm"][1]
 
 
 def test_mmea_interval_floor_is_zero(rng):
     x = np.abs(rng.normal(2.0, 0.3, 200)) + 0.5
-    interval, _ = feature_interval("mmea_mm", x)
+    interval = feature_interval("mmea_mm", x, select_best([x])[0])
     # a candidate closer to the bundle than its own members must pass
     assert interval.low == 0.0
     assert interval.high > 0.0
@@ -161,32 +163,36 @@ def test_mmea_interval_floor_is_zero(rng):
 
 def test_small_sample_uses_empirical(rng):
     x = rng.normal(10.0, 1.0, 5)
-    interval, fit = feature_interval("length_mm", x)
+    interval = feature_interval("length_mm", x, None)
     assert interval.source == "empirical"
-    assert fit is None
     assert interval.low == pytest.approx(np.quantile(x, 0.1))
     assert interval.high == pytest.approx(np.quantile(x, 0.9))
+    # an atlas fits no set of fewer than `min_fit_samples` samples
+    bundle = arc_bundle(count=5)
+    model = build_bundle_model(bundle)
+    samples = compute_feature_samples(bundle, model)
+    assert all(fit is None for fit in model.fits.values())
+    assert model.thresholds["length_mm"] == feature_interval("length_mm", samples["length_mm"], None)
 
 
 def test_constant_samples_widen_empirical():
     x = np.full(20, 7.0)
-    interval, _ = feature_interval("length_mm", x)
+    assert select_best([x]) == [None]
+    interval = feature_interval("length_mm", x, None)
     assert interval.source == "empirical"
     assert interval.low < 7.0 < interval.high
 
 
 def test_under_two_samples_uninformative():
-    interval, fit = feature_interval("plane_angle_deg", np.array([4.0]))
+    interval = feature_interval("plane_angle_deg", np.array([4.0]), None)
     assert not interval.informative
-    assert fit is None
     assert interval.low == 0.0 and interval.high == 90.0
 
 
-def test_threshold_source_empirical(rng):
-    x = rng.normal(10.0, 1.0, 300)
-    interval, fit = feature_interval("length_mm", x, RunConfig(threshold_source="empirical"))
-    assert interval.source == "empirical"
-    assert fit is None
+def test_threshold_source_empirical():
+    model = build_bundle_model(arc_bundle(), RunConfig(threshold_source="empirical"))
+    assert all(fit is None for fit in model.fits.values())
+    assert all(interval.source == "empirical" for interval in model.thresholds.values())
 
 
 def test_build_bundle_model_fields():
@@ -254,3 +260,22 @@ def test_atlas_rejects_bundles_of_mixed_k():
         AtlasModel(bundles=models)
     with pytest.raises(ValueError, match="one number of points"):
         build_atlas([m.bundle for m in models])
+
+
+def test_atlas_models_do_not_depend_on_the_other_bundles():
+    """Every bundle's fits and thresholds inside an atlas, whose feature sets
+    are fit in one pass, are those of its one-bundle atlas, bit for bit."""
+    straight = arc_bundle(seed=9, count=12).streamlines.copy()
+    straight[:4] = np.linspace(straight[:4, 0], straight[:4, -1], 21, axis=1)
+    bundles = [arc_bundle(seed=1, count=30), Bundle("c", straight),
+               generate_bundle(ArcSpec("d", (80.0, 0.0, 0.0), 8.0, 120.0, (60.0, 90.0), 1.0, 9, 5)),
+               generate_bundle(ArcSpec("e", (0.0, 80.0, 0.0), 12.0, 200.0, (0.0, 30.0), 0.3, 25, 6))]
+    bundles[0] = Bundle("a", bundles[0].streamlines)
+    atlas = build_atlas(bundles)
+    for model, bundle in zip(atlas.bundles, bundles):
+        alone = build_bundle_model(bundle)
+        assert model.thresholds == alone.thresholds
+        for f in FEATURE_NAMES:
+            assert fit_bits(model.fits[f]) == fit_bits(alone.fits[f]), (bundle.id, f)
+    backwards = build_atlas(bundles[::-1]).bundles[::-1]
+    assert [m.thresholds for m in backwards] == [m.thresholds for m in atlas.bundles]

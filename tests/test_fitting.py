@@ -5,6 +5,8 @@ interpolation, so it shares no code with the closed-form or bisection
 quantile paths.
 """
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,14 +23,13 @@ from swmparc.fitting import (
     _burr_cdf,
     _positive_shift,
     _sane_params,
-    empirical_histogram,
+    empirical_histograms,
     fit_family,
     histogram_bins,
     select_best,
-    sse_against_histogram,
 )
 
-from conftest import fit_all_families
+from conftest import fit_all_families, fit_bits
 
 
 def oracle_quantile(dist, p, lo, hi, points=400001):
@@ -102,7 +103,7 @@ def test_gamma_samples_select_gamma():
     for seed in range(3):
         rng = np.random.default_rng(seed)
         x = rng.gamma(2.0, 3.0, size=10_000)
-        best = select_best(x)
+        best = select_best([x])[0]
         assert best is not None
         if best.family == "gamma":
             hits += 1
@@ -115,16 +116,17 @@ def test_gamma_samples_select_gamma():
 def test_select_best_minimizes_sse(rng):
     x = rng.normal(10.0, 2.0, size=400)
     fits = fit_all_families(x)
-    best = select_best(x)
+    best = select_best([x])[0]
     available = [f.sse for f in fits.values() if f is not None and math.isfinite(f.sse)]
     assert best.sse == min(available)
 
 
 def test_tie_breaks_by_family_order(monkeypatch):
-    import swmparc.fitting as fitting
-    monkeypatch.setattr(fitting, "sse_against_histogram", lambda d, s: 1.0)
+    # every pdf 0: every family's SSE is the sum of the squared densities
+    zero = dict.fromkeys(FAMILIES, lambda params, support, y: np.zeros_like(y))
+    monkeypatch.setattr(fitting, "_PDF", zero)
     x = np.random.default_rng(0).normal(5.0, 1.0, 200)
-    best = fitting.select_best(x)
+    best = fitting.select_best([x])[0]
     assert best.family == "normal"
 
 
@@ -134,7 +136,7 @@ def test_constant_samples_fall_back():
     fit = fit_family(x, "normal")
     assert fit is not None
     assert math.isinf(fit.sse)
-    assert select_best(x) is None
+    assert select_best([x]) == [None]
 
 
 def test_rounding_spread_never_overflows_a_descent():
@@ -145,7 +147,7 @@ def test_rounding_spread_never_overflows_a_descent():
     assert float(np.std(np.log(x))) > 0.0
     for family in FAMILIES:
         fit_family(x, family)
-    assert select_best(x) is None
+    assert select_best([x]) == [None]
 
 
 def test_select_best_fits_nothing_without_a_histogram(monkeypatch):
@@ -153,9 +155,13 @@ def test_select_best_fits_nothing_without_a_histogram(monkeypatch):
     counted = {family: (lambda x, fit=fit: calls.append(1) or fit(x))
                for family, fit in fitting._FITTERS.items()}
     monkeypatch.setattr(fitting, "_FITTERS", counted)
-    assert select_best(np.full(11, 180.0)) is None
+    flat = np.full(11, 180.0)
+    assert select_best([flat]) == [None]
     assert calls == []
-    assert select_best(np.random.default_rng(0).normal(5.0, 1.0, 50)) is not None
+    # one pass: each family is fit once to every set that spans a histogram
+    rng = np.random.default_rng(0)
+    best = select_best([rng.normal(5.0, 1.0, 50), flat, rng.normal(5.0, 1.0, 50)])
+    assert best[0] is not None and best[1] is None and best[2] is not None
     assert len(calls) == len(FAMILIES)
 
 
@@ -214,10 +220,12 @@ def test_all_families_recover_own_samples(rng):
 
 def test_sse_uses_given_samples(rng):
     x = rng.normal(0.0, 1.0, 256)
-    d = FittedDistribution("normal", {"mu": 0.0, "sigma": 1.0}, sse=0.0)
-    good = sse_against_histogram(d, empirical_histogram(x))
+    (density,), (centers,), (spanned,) = empirical_histograms(x[None])
+    assert spanned
+    fit = fit_family(x, "normal")
+    assert fit.sse == pytest.approx(float(np.sum((density - fit.pdf(centers)) ** 2)), rel=1e-12)
     far = FittedDistribution("normal", {"mu": 50.0, "sigma": 1.0}, sse=0.0)
-    assert sse_against_histogram(far, empirical_histogram(x)) > good
+    assert float(np.sum((density - far.pdf(centers)) ** 2)) > fit.sse
 
 
 def draw_samples(family, n, seed):
@@ -246,8 +254,21 @@ def burr_profile(samples):
 
     def nll(t):
         with np.errstate(over="ignore", invalid="ignore"):
-            return fitting._burr_nll(logy, sum_logy, tuple(float(v) for v in t))
+            f, state = fitting._burr_nll(logy[None], np.array([sum_logy]), one_column(t))
+        return float(f[0]), state
     return nll, start
+
+
+def one_column(t):
+    """A point t = (log c, log lam) as the (2, 1) array of a one-row solve."""
+    return np.asarray(t, dtype=np.float64).reshape(2, 1)
+
+
+def burr_derivatives(t, state):
+    """`_burr_derivatives` of a one-row state at t: the gradient and
+    (h00, h01, h11)."""
+    gradient, hessian = fitting._burr_derivatives(one_column(t), state)
+    return gradient[:, 0], hessian[:, 0]
 
 
 def in_burr_box(samples, t):
@@ -425,15 +446,15 @@ def test_burr_derivatives_match_central_differences(family, n, seed, du, dv):
     t = np.array(start) + [du, dv]
     f, state = profile(t)
     assume(math.isfinite(f))
-    gradient, (h00, h01, h11) = fitting._burr_derivatives(tuple(t), state)
+    gradient, (h00, h01, h11) = burr_derivatives(t, state)
     hessian = np.array([[h00, h01], [h01, h11]])
     h = 1e-6
     for i, e in enumerate(np.eye(2) * h):
         plus, minus = profile(t + e), profile(t - e)
         slope = (plus[0] - minus[0]) / (2.0 * h)
         assert gradient[i] == pytest.approx(slope, rel=1e-5, abs=1e-6 * (1.0 + abs(f)))
-        bend = (np.array(fitting._burr_derivatives(tuple(t + e), plus[1])[0])
-                - np.array(fitting._burr_derivatives(tuple(t - e), minus[1])[0])) / (2.0 * h)
+        bend = (burr_derivatives(t + e, plus[1])[0]
+                - burr_derivatives(t - e, minus[1])[0]) / (2.0 * h)
         assert hessian[i] == pytest.approx(bend, rel=1e-5, abs=1e-6 * (1.0 + abs(f)))
 
 
@@ -448,7 +469,7 @@ def test_returned_burr_fits_are_stationary():
         profile, _ = burr_profile(samples)
         t = burr_point(fit)
         f, state = profile(t)
-        (g0, g1), (h00, h01, h11) = fitting._burr_derivatives(t, state)
+        (g0, g1), (h00, h01, h11) = burr_derivatives(t, state)
         assert max(abs(g0), abs(g1)) <= 1e-6 * (1.0 + abs(f)), (g0, g1)
         assert h00 > 0.0 and h00 * h11 - h01 * h01 > 0.0, (h00, h01, h11)
         fitted += 1
@@ -493,3 +514,111 @@ def test_burr_descent_that_leaves_the_sane_box_ends_without_a_fit(monkeypatch):
     end = evaluated[-1]
     assert not in_burr_box(x, end) and np.exp(end[0]) > 1e3
     assert profile(end)[0] < profile(stepped_from[-1])[0]
+
+
+# ---------------------------------------------------------------------------
+# the batched pass
+
+# sets that span a histogram yet get no fit: gamma, beta and Burr fit none to
+# a span just above the degenerate limit, Burr none to a Pareto sample
+NO_FIT = {
+    "tiny span": 1.0 + np.linspace(0.0, 2e-12, 9),
+    "pareto": 3.0 * (1.0 + np.random.default_rng(0).pareto(1.5, 30)),
+}
+
+
+def test_no_fit_sets_reach_the_no_fit_paths():
+    assert empirical_histograms(NO_FIT["tiny span"][None])[2][0]
+    for family in ("gamma", "beta", "burr"):
+        assert fit_family(NO_FIT["tiny span"], family) is None
+    assert fit_family(NO_FIT["pareto"], "burr") is None
+
+
+@st.composite
+def sample_sets(draw):
+    """Sets of mixed lengths and families, with flat sets (no histogram), the
+    no-fit sets and the degenerate ones among them."""
+    kinds = FAMILIES + ("flat",) + tuple(NO_FIT) + tuple(DEGENERATE)
+    sets = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in FAMILIES:
+            n = draw(st.sampled_from([8, 9, 25, 30, 200]))
+            sets.append(draw_samples(kind, n, draw(st.integers(0, 2**16))))
+        elif kind == "flat":
+            sets.append(np.full(draw(st.sampled_from([8, 9, 25])), draw(st.floats(-1e3, 1e3))))
+        else:
+            sets.append({**NO_FIT, **DEGENERATE}[kind])
+    return sets
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample_sets(), st.integers(8, 300))
+def test_select_best_is_batch_independent(sets, chunk):
+    # a small chunk budget splits a length's sets over several chunks, and a
+    # set longer than it is a chunk of its own
+    with mock.patch.object(fitting, "_CHUNK_ELEMENTS", chunk):
+        batch = select_best(sets)
+    assert len(batch) == len(sets)
+    for x, fit in zip(sets, batch):
+        assert fit_bits(fit) == fit_bits(select_best([x])[0])
+
+
+def test_select_best_takes_sets():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        select_best(np.random.default_rng(0).normal(size=50))
+    assert select_best([]) == []
+
+
+@st.composite
+def histogram_rows(draw):
+    """Rows of one length with values on bin edges and one ulp either side
+    of them, ties at the maximum, and spans from just above the degenerate
+    limit up."""
+    n, count = draw(st.integers(8, 60)), draw(st.integers(1, 4))
+    bins = histogram_bins(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    rows = []
+    for _ in range(count):
+        lo = draw(st.floats(-1e3, 1e3))
+        hi = lo + draw(st.sampled_from([1.5e-12, 3e-12, 1e-9, 1e-3, 1.0, 77.7]))
+        x = rng.uniform(lo, hi, n)
+        edges = np.linspace(lo, hi, bins + 1)
+        near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        on_edges = rng.random(n) < draw(st.floats(0.0, 1.0))
+        x[on_edges] = np.clip(rng.choice(near, int(on_edges.sum())), lo, hi)
+        x[:1 + draw(st.integers(0, 3))] = hi
+        x[-1] = lo
+        rows.append(x)
+    return np.stack(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(histogram_rows())
+def test_batched_histograms_are_np_histogram(x):
+    density, centers, spans = empirical_histograms(x)
+    for row, spanned, got, middles in zip(x, spans, density, centers):
+        lo, hi = row.min(), row.max()
+        assert spanned == (hi - lo > 1e-12)
+        if spanned:
+            want, edges = np.histogram(row, bins=histogram_bins(len(row)), range=(lo, hi),
+                                       density=True)
+            assert got.tobytes() == want.tobytes()
+            assert middles.tobytes() == (0.5 * (edges[:-1] + edges[1:])).tobytes()
+
+
+@pytest.mark.parametrize("count, n", [(3942, 30), (20, 10_000)])
+def test_select_best_temporaries_stay_within_the_chunk_budget(count, n):
+    """Beyond its input and the fits it returns, `select_best` holds at most
+    20 chunks' worth of values, however many or long the sets are."""
+    rng = np.random.default_rng(0)
+    sets = [rng.gamma(2.0, 3.0, n) for _ in range(count)]
+    chunk = 8 * max(fitting._CHUNK_ELEMENTS, n)
+    tracemalloc.start()
+    try:
+        best = select_best(sets)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(fit is not None for fit in best)
+    assert peak <= sum(x.nbytes for x in sets) + held + 20 * chunk, (peak, held)
