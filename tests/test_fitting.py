@@ -220,7 +220,7 @@ def test_all_families_recover_own_samples(rng):
 
 def test_sse_uses_given_samples(rng):
     x = rng.normal(0.0, 1.0, 256)
-    (density,), (centers,), (spanned,) = empirical_histograms(x[None])
+    (density,), (centers,), (spanned,), _ = empirical_histograms(fitting._stacked([x]))
     assert spanned
     fit = fit_family(x, "normal")
     assert fit.sse == pytest.approx(float(np.sum((density - fit.pdf(centers)) ** 2)), rel=1e-12)
@@ -248,14 +248,15 @@ def burr_profile(samples):
     fit's moment start."""
     y = samples + _positive_shift(samples)
     logy = np.log(y)
+    logs = fitting._stacked([logy])
     sum_logy = float(np.add.reduce(logy))
     spread = float(np.std(logy))
     start = (math.log(max(math.pi / (math.sqrt(3.0) * spread), 0.1)), math.log(float(np.median(y))))
 
     def nll(t):
         with np.errstate(over="ignore", invalid="ignore"):
-            f, state = fitting._burr_nll(logy[None], np.array([sum_logy]), one_column(t))
-        return float(f[0]), state
+            f, state = fitting._burr_nll(logs, np.array([sum_logy]), one_column(t))
+        return float(f[0]), (logs, state)
     return nll, start
 
 
@@ -265,9 +266,10 @@ def one_column(t):
 
 
 def burr_derivatives(t, state):
-    """`_burr_derivatives` of a one-row state at t: the gradient and
-    (h00, h01, h11)."""
-    gradient, hessian = fitting._burr_derivatives(one_column(t), state)
+    """`_burr_derivatives` at t of a one-row profile's state: the gradient
+    and (h00, h01, h11)."""
+    logs, state = state
+    gradient, hessian = fitting._burr_derivatives(logs, one_column(t), state)
     return gradient[:, 0], hessian[:, 0]
 
 
@@ -411,7 +413,7 @@ def count_newton_steps(monkeypatch):
     burr_derivatives = fitting._burr_derivatives
     monkeypatch.setattr(fitting, "digamma", lambda v: steps.append(1) or digamma(v))
     monkeypatch.setattr(fitting, "_burr_derivatives",
-                        lambda t, state: steps.append(1) or burr_derivatives(t, state))
+                        lambda *args: steps.append(1) or burr_derivatives(*args))
     return steps
 
 
@@ -505,7 +507,8 @@ def test_burr_descent_that_leaves_the_sane_box_ends_without_a_fit(monkeypatch):
     burr_nll, burr_derivatives = fitting._burr_nll, fitting._burr_derivatives
     monkeypatch.setattr(fitting, "_burr_nll", lambda logy, s, t: evaluated.append(t) or burr_nll(logy, s, t))
     monkeypatch.setattr(fitting, "_burr_derivatives",
-                        lambda t, state: stepped_from.append(t) or burr_derivatives(t, state))
+                        lambda logs, t, state: stepped_from.append(t)
+                        or burr_derivatives(logs, t, state))
     assert fit_family(x, "burr") is None
     assert 0 < len(stepped_from) < fitting._NEWTON_MAX_ITER
     # every point the solve stepped from lies in the box; the last point it
@@ -528,7 +531,7 @@ NO_FIT = {
 
 
 def test_no_fit_sets_reach_the_no_fit_paths():
-    assert empirical_histograms(NO_FIT["tiny span"][None])[2][0]
+    assert empirical_histograms(fitting._stacked([NO_FIT["tiny span"]])).spans[0]
     for family in ("gamma", "beta", "burr"):
         assert fit_family(NO_FIT["tiny span"], family) is None
     assert fit_family(NO_FIT["pareto"], "burr") is None
@@ -564,6 +567,20 @@ def test_select_best_is_batch_independent(sets, chunk):
         assert fit_bits(fit) == fit_bits(select_best([x])[0])
 
 
+def test_sets_of_many_lengths_share_a_pass(monkeypatch):
+    # sets of 40 lengths, as bundles of different sizes give, are fit in one
+    # chunk: each family is fit once
+    calls = []
+    counted = {family: (lambda rows, fit=fit: calls.append(len(rows.n)) or fit(rows))
+               for family, fit in fitting._FITTERS.items()}
+    monkeypatch.setattr(fitting, "_FITTERS", counted)
+    rng = np.random.default_rng(0)
+    sets = [rng.gamma(2.0, 3.0, n) for n in rng.permutation(np.arange(20, 300, 7))]
+    best = select_best(sets)
+    assert calls == [len(sets)] * len(FAMILIES)
+    assert [fit_bits(fit) for fit in best] == [fit_bits(select_best([x])[0]) for x in sets]
+
+
 def test_select_best_takes_sets():
     with pytest.raises(ValueError, match="one-dimensional"):
         select_best(np.random.default_rng(0).normal(size=50))
@@ -572,14 +589,16 @@ def test_select_best_takes_sets():
 
 @st.composite
 def histogram_rows(draw):
-    """Rows of one length with values on bin edges and one ulp either side
-    of them, ties at the maximum, and spans from just above the degenerate
-    limit up."""
-    n, count = draw(st.integers(8, 60)), draw(st.integers(1, 4))
-    bins = histogram_bins(n)
+    """Sets of one or of mixed lengths, and so of as many or of different
+    bin counts, with values on bin edges and one ulp either side of them,
+    ties at the maximum, and spans from just above the degenerate limit up."""
+    count = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    lengths = draw(st.sampled_from([[draw(st.integers(8, 60))], [8, 60, 101, 150, 333]]))
     rows = []
     for _ in range(count):
+        n = draw(st.sampled_from(lengths))
+        bins = histogram_bins(n)
         lo = draw(st.floats(-1e3, 1e3))
         hi = lo + draw(st.sampled_from([1.5e-12, 3e-12, 1e-9, 1e-3, 1.0, 77.7]))
         x = rng.uniform(lo, hi, n)
@@ -590,21 +609,21 @@ def histogram_rows(draw):
         x[:1 + draw(st.integers(0, 3))] = hi
         x[-1] = lo
         rows.append(x)
-    return np.stack(rows)
+    return rows
 
 
 @settings(max_examples=100, deadline=None)
 @given(histogram_rows())
-def test_batched_histograms_are_np_histogram(x):
-    density, centers, spans = empirical_histograms(x)
-    for row, spanned, got, middles in zip(x, spans, density, centers):
+def test_batched_histograms_are_np_histogram(sets):
+    density, centers, spans, _ = empirical_histograms(fitting._stacked(sets))
+    for row, spanned, got, middles in zip(sets, spans, density, centers):
         lo, hi = row.min(), row.max()
         assert spanned == (hi - lo > 1e-12)
         if spanned:
-            want, edges = np.histogram(row, bins=histogram_bins(len(row)), range=(lo, hi),
-                                       density=True)
-            assert got.tobytes() == want.tobytes()
-            assert middles.tobytes() == (0.5 * (edges[:-1] + edges[1:])).tobytes()
+            bins = histogram_bins(len(row))
+            want, edges = np.histogram(row, bins=bins, range=(lo, hi), density=True)
+            assert got[:bins].tobytes() == want.tobytes()
+            assert middles[:bins].tobytes() == (0.5 * (edges[:-1] + edges[1:])).tobytes()
 
 
 @pytest.mark.parametrize("count, n", [(3942, 30), (20, 10_000)])
