@@ -62,6 +62,8 @@ _BISECT_TOL = 1e-8
 # Most values a chunk of stacked sample sets holds (256 KB); a solve keeps
 # about a dozen temporaries of a chunk's size, whatever the number of sets
 _CHUNK_ELEMENTS = 1 << 15
+# beta's step, whole and halved 1 to 63 times, as factors in a column
+_HALVES = 0.5 ** np.arange(64.0)[:, None]
 
 
 @dataclass(frozen=True)
@@ -376,24 +378,27 @@ def _fit_beta(rows: _Rows) -> _Fits:
         da, db = -(hbb * ga + tri_ab * gb) / det, -(haa * gb + tri_ab * ga) / det
         near = ~bad & (np.abs(da) <= _NEWTON_RTOL * al) & (np.abs(db) <= _NEWTON_RTOL * bl)
         a[live[near]], b[live[near]] = al[near] + da[near], bl[near] + db[near]
-        # the other rows' steps, halved until they fall: a row whose step is
-        # halved 63 times (past that it is below rounding) without a fall, or
-        # whose step is below 1e-12 relative, ends where it stands
-        going, halving = np.zeros(len(live), bool), np.flatnonzero(~bad & ~near)
-        for _ in range(64):
-            if not len(halving):
-                break
-            at = live[halving]
-            ta, tb = a[at] + da[halving], b[at] + db[halving]
-            tf = nll(ta, tb, at)
-            fell = (ta > 0.0) & (tb > 0.0) & (tf <= f[at])
-            ta, tb, tf, at = ta[fell], tb[fell], tf[fell], at[fell]
-            going[halving[fell]] = ((np.abs(ta - a[at]) > _NEWTON_RTOL * ta)
-                                    | (np.abs(tb - b[at]) > _NEWTON_RTOL * tb))
-            a[at], b[at], f[at] = ta, tb, tf
-            halving = halving[~fell]
-            da[halving] *= 0.5
-            db[halving] *= 0.5
+        # the whole steps, then where they rise the steps halved 1 to 63 times
+        # (past that they are below rounding) at once, in slices of rows
+        # within a chunk's size: unlike Burr's, a trial costs no pass over the
+        # samples.  A row none of whose steps falls, or whose step is below
+        # 1e-12 relative, ends where it stands
+        going, trying = np.zeros(len(live), bool), np.flatnonzero(~bad & ~near)
+        for halves in (_HALVES[:1], _HALVES[1:]):
+            per, failed = max(1, _CHUNK_ELEMENTS // len(halves)), []
+            for part in (trying[k:k + per] for k in range(0, len(trying), per)):
+                at = live[part]
+                ta, tb = a[at] + da[part] * halves, b[at] + db[part] * halves
+                tf = nll(ta, tb, at)
+                fell = (ta > 0.0) & (tb > 0.0) & (tf <= f[at])
+                found, first = fell.any(axis=0), fell.argmax(axis=0)
+                cols, first = np.flatnonzero(found), first[found]
+                ta, tb, tf, at = ta[first, cols], tb[first, cols], tf[first, cols], at[cols]
+                going[part[cols]] = ((np.abs(ta - a[at]) > _NEWTON_RTOL * ta)
+                                     | (np.abs(tb - b[at]) > _NEWTON_RTOL * tb))
+                a[at], b[at], f[at] = ta, tb, tf
+                failed.append(part[~found])
+            trying = np.concatenate(failed) if failed else trying
         live = live[going]
     return _Fits({"alpha": a, "beta": b}, ok & _sane_params(a, b), np.zeros(len(a)), (lo, hi))
 
