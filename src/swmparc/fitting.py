@@ -498,7 +498,8 @@ def _fit_burr(rows: _Rows) -> _Fits:
     ok[live[~keep]] = False
     for _ in range(_NEWTON_MAX_ITER):
         if not keep.all():
-            live, logs, sum_logy, t, f = live[keep], _taken(logs, keep), sum_logy[keep], t[:, keep], f[keep]
+            live, logs, sum_logy = live[keep], _taken(logs, keep), sum_logy[keep]
+            t, f = t[:, keep], f[keep]
             state = tuple(v[keep] for v in state)
         if not len(live):
             break
@@ -563,7 +564,8 @@ def empirical_histograms(rows: _Rows) -> _Histograms:
     edges = np.arange(most + 1) * (width / bins)[:, None] + lo[:, None]
     edges[np.arange(count), bins] = hi
     last = bins[:, None] - 1
-    index = np.minimum(((rows.x - lo[:, None]) / width[:, None] * bins[:, None]).astype(np.intp), last)
+    index = ((rows.x - lo[:, None]) / width[:, None] * bins[:, None]).astype(np.intp)
+    index = np.minimum(index, last)
     index -= rows.x < np.take_along_axis(edges, index, axis=1)
     index += (rows.x >= np.take_along_axis(edges, index + 1, axis=1)) & (index != last)
     index += most * np.arange(count)[:, None]
@@ -587,7 +589,8 @@ def _validated(samples, min_samples: int) -> np.ndarray:
     return x
 
 
-def _scored_fits(rows: _Rows, families, histograms: _Histograms) -> dict[str, tuple[_Fits, np.ndarray]]:
+def _scored_fits(rows: _Rows, families,
+                 histograms: _Histograms) -> dict[str, tuple[_Fits, np.ndarray]]:
     """Each family's fits of the rows and their SSE, the sum of squared
     differences between a row's histogram density and the fitted pdf at the
     bin centers: inf where a row has no fit, no histogram or no finite pdf."""
@@ -653,5 +656,6 @@ def select_best(sample_sets, min_samples: int = 8) -> list[FittedDistribution | 
         for row, winner in enumerate(np.argmin(sse, axis=0)):
             if sse[winner, row] < np.inf:
                 family = FAMILIES[winner]
-                best[part[spanned[row]]] = _row_fit(family, scored[family][0], row, sse[winner, row])
+                fits = scored[family][0]
+                best[part[spanned[row]]] = _row_fit(family, fits, row, sse[winner, row])
     return best
