@@ -50,11 +50,11 @@ SIGMA_FLOOR = 1e-6
 POSITIVE_SHIFT = 1e-6
 _NEWTON_MAX_ITER = 50
 _NEWTON_RTOL = 1e-12
-# Burr: the box its lam and c must stay in, as (log c, log lam) bounds in a
-# column each (k must stay in [1e-3, 1e3]); the longest step in log c and
-# log lam, a factor e^0.5, which keeps a solve in the basin of its start where
-# a longer one jumps past it to the box's edge; and the predicted fall,
-# relative to 1 + |nll|, below which a step is the last
+# Burr: the box its lam and c must stay in, as (low, high) bounds of log c
+# and of log lam, a row each (k must stay in [1e-3, 1e3]); the longest step
+# in log c and log lam, a factor e^0.5, which keeps a solve in the basin of
+# its start where a longer one jumps past it to the box's edge; and the
+# predicted fall, relative to 1 + |nll|, below which a step is the last
 _BURR_BOX = np.log([[1e-3, 1e3], [SIGMA_FLOOR, 1e6]])
 _BURR_MAX_STEP = 0.5
 _BURR_FALL_RTOL = 1e-12
@@ -550,8 +550,10 @@ def histogram_bins(n: int) -> int:
 
 def empirical_histograms(rows: _Rows) -> _Histograms:
     """Per row: the density of max(10, ceil(sqrt(n))) equal-width bins over
-    [min, max] of its set, the bin centers, and whether the span is more
-    than 1e-12 (the histogram is degenerate otherwise).  These are
+    [min, max] of its set, the bin centers, and whether the row spans a
+    histogram: a span of more than 1e-12 (the histogram is degenerate
+    otherwise) over bins of nonzero width (a span of a few ulps can give
+    bins of zero width, which np.histogram refuses).  These are
     np.histogram's: edges spaced as by np.linspace, each sample in the bin
     whose edges bracket it (the last bin closed), found from its scaled
     offset and moved by one bin where the edges disagree."""
@@ -572,8 +574,11 @@ def empirical_histograms(rows: _Rows) -> _Histograms:
     counts = np.bincount(index.ravel() if rows.where is True else index[rows.where],
                          minlength=count * most).reshape(count, most)
     where = True if (bins == most).all() else np.arange(most) < bins[:, None]
-    # the bins past a row's own hold none of its samples; their width is set to 1
-    widths = np.where(where, np.diff(edges, axis=1), 1.0)
+    widths = np.diff(edges, axis=1)
+    spans &= np.all(widths > 0.0, axis=1, where=where)
+    # the bins past a row's own hold none of its samples, and a row that spans
+    # no histogram has no density: their widths are set to 1
+    widths = np.where(where & spans[:, None], widths, 1.0)
     return _Histograms(counts / widths / rows.n[:, None], 0.5 * (edges[:, :-1] + edges[:, 1:]),
                        spans, where)
 

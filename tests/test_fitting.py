@@ -139,6 +139,16 @@ def test_constant_samples_fall_back():
     assert select_best([x]) == [None]
 
 
+def test_span_of_a_few_ulps_falls_back():
+    # 19 bins over 1.5e-12 at 512, a few ulps, are not all of nonzero width
+    x = DEGENERATE["few ulps wide"]
+    with pytest.raises(ValueError):
+        np.histogram(x, bins=histogram_bins(len(x)), range=(x.min(), x.max()))
+    with np.errstate(all="raise"):
+        assert select_best([x]) == [None]
+    assert math.isinf(fit_family(x, "normal").sse)
+
+
 def test_rounding_spread_never_overflows_a_descent():
     # eleven shape angles of 180 degrees (a bundle of straight lines) keep a
     # log spread of rounding size, which sends the burr descent to logs past
@@ -401,6 +411,8 @@ def test_profiled_fits_are_optima_of_the_full_likelihood(family):
 
 DEGENERATE = {
     "rounding spread": np.full(11, 180.0),
+    # bins of zero width: np.histogram makes no histogram of it
+    "few ulps wide": 512.0 + np.linspace(0.0, 1.5e-12, 333),
     "near constant": 100.0 + 1e-7 * np.random.default_rng(3).standard_normal(8),
     "piled at one end": 10.0 + 40.0 * np.random.default_rng(4).beta(0.05, 3.0, 30),
 }
@@ -619,14 +631,12 @@ def test_batched_histograms_are_np_histogram(sets):
     density, centers, spans, _ = empirical_histograms(fitting._stacked(sets))
     for row, spanned, got, middles in zip(sets, spans, density, centers):
         lo, hi = row.min(), row.max()
-        assert spanned == (hi - lo > 1e-12)
         bins = histogram_bins(len(row))
+        # a span of a few ulps can give bins of zero width, which np.histogram
+        # refuses to make
+        nonzero = (np.diff(np.linspace(lo, hi, bins + 1)) > 0.0).all()
+        assert spanned == (hi - lo > 1e-12 and nonzero)
         if not spanned:
-            continue
-        if not (np.diff(np.linspace(lo, hi, bins + 1)) > 0.0).all():
-            # a span of a few ulps makes bins of zero width, where np.histogram
-            # makes none; the density is then not finite, and no fit's SSE is
-            assert not np.isfinite(got[:bins]).all()
             continue
         want, edges = np.histogram(row, bins=bins, range=(lo, hi), density=True)
         assert got[:bins].tobytes() == want.tobytes()
