@@ -19,15 +19,10 @@ from .distances import bundle_min_distance, mdf, mmea, pairwise_mdf, pairwise_mm
 from .fitting import FittedDistribution, fit_family, select_best
 from .geometry import (
     Bundle,
-    arc_length,
     bundle_barycenter,
     bundle_radius,
-    direction_vector,
-    fit_plane_normal,
-    midpoint,
     resample,
     resample_all,
-    shape_angle,
 )
 from .metrics import (
     BundleScore,
@@ -87,7 +82,6 @@ __all__ = [
     "TrackFileError",
     "apply_affine",
     "apply_rigid",
-    "arc_length",
     "build_atlas",
     "build_bundle_model",
     "bundle_adjacency",
@@ -98,15 +92,12 @@ __all__ = [
     "compute_feature_samples",
     "confusion_scores",
     "coverage",
-    "direction_vector",
     "extract_neighborhood",
     "fit_family",
-    "fit_plane_normal",
     "generate_bundle",
     "generate_scene",
     "lsnr",
     "mdf",
-    "midpoint",
     "mmea",
     "overlap",
     "pairwise_mdf",
@@ -124,7 +115,6 @@ __all__ = [
     "resample_all",
     "sbr_rigid",
     "select_best",
-    "shape_angle",
     "spb",
     "write_atlas",
     "write_result",

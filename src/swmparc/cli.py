@@ -21,7 +21,10 @@ from .geometry import Bundle, resample_all
 from .metrics import bundle_adjacency, confusion_scores, coverage, overlap, pbe, spb
 from .parcellation import parcellate
 from .serialization import (
+    FORMAT_VERSION,
     AtlasFormatError,
+    _dump_json,
+    _json_float,
     read_affine,
     read_atlas,
     read_result,
@@ -56,20 +59,27 @@ def _load_config(path: str | None, args) -> RunConfig:
     return cfg
 
 
-def _load_subject(path: str, k: int, affine: np.ndarray | None = None) -> np.ndarray:
-    """Read, optionally move by a 4x4 affine, and resample a subject tractogram."""
+def _load_tracks(path: str, k: int, least: int, too_few: str,
+                 affine: np.ndarray | None = None) -> np.ndarray:
+    """Read a track file, optionally move it by a 4x4 affine, and resample it;
+    fewer than ``least`` streamlines is the input error ``too_few``."""
     try:
         raw = read_tck(path)
     except TrackFileError as e:
         raise CliInputError(str(e)) from e
-    if not raw:
-        raise CliInputError(f"{path}: empty subject tractogram")
     if affine is not None:
         raw = [apply_affine(affine, s) for s in raw]
     try:
-        return resample_all(raw, k)
+        tracks = resample_all(raw, k)
     except ValueError as e:
         raise CliInputError(f"{path}: {e}") from e
+    if len(tracks) < least:
+        raise CliInputError(f"{path}: {too_few}")
+    return tracks
+
+
+def _load_subject(path: str, k: int, affine: np.ndarray | None = None) -> np.ndarray:
+    return _load_tracks(path, k, 1, "empty subject tractogram", affine)
 
 
 def cmd_synth(args) -> int:
@@ -100,20 +110,9 @@ def cmd_build_atlas(args) -> int:
     names = sorted(n for n in os.listdir(args.bundles) if n.endswith(".tck"))
     if not names:
         raise CliInputError(f"no track files in {args.bundles}")
-    bundles = []
-    for name in names:
-        path = os.path.join(args.bundles, name)
-        try:
-            raw = read_tck(path)
-        except TrackFileError as e:
-            raise CliInputError(str(e)) from e
-        try:
-            arr = resample_all(raw, cfg.resample_k)
-        except ValueError as e:
-            raise CliInputError(f"{path}: {e}") from e
-        if len(arr) < 2:
-            raise CliInputError(f"{path}: atlas bundle too small")
-        bundles.append(Bundle(name[:-4], arr))
+    bundles = [Bundle(name[:-4], _load_tracks(os.path.join(args.bundles, name), cfg.resample_k,
+                                              2, "atlas bundle too small"))
+               for name in names]
     atlas = build_atlas(bundles, cfg)
     write_atlas(atlas, args.out)
     cfg.save(os.path.join(args.out, "run_config.json"))
@@ -199,44 +198,42 @@ def cmd_evaluate(args) -> int:
             "count": int(len(b.accepted_indices)),
             "truth_count": int(len(truth_idx)),
             "defined": score.defined,
-            "sensitivity": _json_safe(score.sensitivity),
-            "precision": _json_safe(score.precision),
-            "jaccard": _json_safe(score.jaccard),
-            "f1": _json_safe(score.f1),
-            "specificity": _json_safe(score.specificity),
-            "accuracy": _json_safe(score.accuracy),
+            "sensitivity": _json_float(score.sensitivity),
+            "precision": _json_float(score.precision),
+            "jaccard": _json_float(score.jaccard),
+            "f1": _json_float(score.f1),
+            "specificity": _json_float(score.specificity),
+            "accuracy": _json_float(score.accuracy),
         }
         if subject is not None:
             extracted = subject[np.asarray(b.accepted_indices, dtype=np.int64)]
             model = subject[truth_idx]
-            row["bundle_adjacency"] = _json_safe(bundle_adjacency(extracted, model, ba_mm))
-            row["coverage"] = _json_safe(coverage(extracted, model, ba_mm))
-            row["overlap"] = _json_safe(overlap(extracted, model, ba_mm))
+            row["bundle_adjacency"] = _json_float(bundle_adjacency(extracted, model, ba_mm))
+            row["coverage"] = _json_float(coverage(extracted, model, ba_mm))
+            row["overlap"] = _json_float(overlap(extracted, model, ba_mm))
         rows.append(row)
 
     spb_stats = spb(result)
     pbe_lo, pbe_hi = cfg.pbe_min_counts
     report = {
-        "format_version": "1",
+        "format_version": FORMAT_VERSION,
         "n_bundles": len(result.bundles),
         "subject_count": result.subject_count,
         "ba_threshold_mm": ba_mm,
         "bundles": rows,
         "aggregate": {
-            "sensitivity": _json_safe(_aggregate(r["sensitivity"] for r in rows if r["defined"])),
-            "precision": _json_safe(_aggregate(r["precision"] for r in rows if r["defined"])),
-            "jaccard": _json_safe(_aggregate(r["jaccard"] for r in rows if r["defined"])),
-            "f1": _json_safe(_aggregate(r["f1"] for r in rows if r["defined"])),
+            "sensitivity": _json_float(_aggregate(r["sensitivity"] for r in rows if r["defined"])),
+            "precision": _json_float(_aggregate(r["precision"] for r in rows if r["defined"])),
+            "jaccard": _json_float(_aggregate(r["jaccard"] for r in rows if r["defined"])),
+            "f1": _json_float(_aggregate(r["f1"] for r in rows if r["defined"])),
             f"pbe_{pbe_lo}": pbe(result, pbe_lo),
             f"pbe_{pbe_hi}": pbe(result, pbe_hi),
-            "spb_mean": _json_safe(spb_stats.mean),
-            "spb_median": _json_safe(spb_stats.median),
-            "spb_sd": _json_safe(spb_stats.sd),
+            "spb_mean": _json_float(spb_stats.mean),
+            "spb_median": _json_float(spb_stats.median),
+            "spb_sd": _json_float(spb_stats.sd),
         },
     }
-    with open(args.out, "w", encoding="ascii") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _dump_json(report, args.out)
     agg = report["aggregate"]
     _say("bundle                     sens   prec  jacc    f1")
     for r in rows:
@@ -248,13 +245,6 @@ def cmd_evaluate(args) -> int:
     _say(f"PBE-{pbe_lo} {agg[f'pbe_{pbe_lo}']:.1f}% | PBE-{pbe_hi} {agg[f'pbe_{pbe_hi}']:.1f}% "
          f"-> {args.out}")
     return 0
-
-
-def _json_safe(x):
-    if x is None:
-        return None
-    x = float(x)
-    return None if math.isnan(x) else x
 
 
 def build_parser() -> argparse.ArgumentParser:

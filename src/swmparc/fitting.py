@@ -44,6 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, betaln, digamma, gammainc, gammaln, ndtr, ndtri, zeta
 
+from .config import RunConfig
+
 FAMILIES = ("normal", "log-normal", "gamma", "beta", "burr")
 
 SIGMA_FLOOR = 1e-6
@@ -619,7 +621,8 @@ def _row_fit(family: str, fits: _Fits, row: int, sse: float) -> FittedDistributi
                               float(sse), shift=float(fits.shift[row]), support=support)
 
 
-def fit_family(samples, family: str, min_samples: int = 8) -> FittedDistribution | None:
+def fit_family(samples, family: str,
+               min_samples: int = RunConfig.min_fit_samples) -> FittedDistribution | None:
     """Fit one family to a sample set; None when the fit is unavailable
     (divergence or invalid parameters).  Its SSE is inf when the samples span
     no histogram."""
@@ -641,7 +644,8 @@ def _chunks(lengths: list[int]):
             start = stop
 
 
-def select_best(sample_sets, min_samples: int = 8) -> list[FittedDistribution | None]:
+def select_best(sample_sets,
+                min_samples: int = RunConfig.min_fit_samples) -> list[FittedDistribution | None]:
     """For each sample set, the fit of the five families with the smallest
     histogram SSE, the one the set gets alone.  Ties break by family order
     (normal < log-normal < gamma < beta < burr).  A set gets None when no

@@ -3,8 +3,10 @@
 A streamline is an (N, 3) float64 array of points in millimeters.  All
 pipeline algorithms operate on the fixed-K resampled form (K odd, default
 `RunConfig.resample_k`) so that every streamline has an exact medial point.
-Batch variants accept an (n, K, 3) stack and are the hot path; the scalar
-functions define the contract.
+The feature functions take an (n, K, 3) stack and are the contract: each
+returns one value per row, and a row whose plane, direction or shape is
+undefined is flagged degenerate instead of raising.  `resample` of one
+polyline stays as the bit-exact oracle of `resample_all`.
 """
 from __future__ import annotations
 
@@ -237,21 +239,9 @@ def _last_at_or_below(cum: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.cumsum(hist.reshape(g, k + 1)[:, :k], axis=1) - 1
 
 
-def arc_length(points) -> float:
-    pts = as_points(points)
-    return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
-
-
 def arc_lengths(batch: np.ndarray) -> np.ndarray:
     """Arc lengths of an (n, K, 3) stack."""
     return np.sum(np.linalg.norm(np.diff(batch, axis=1), axis=2), axis=1)
-
-
-def midpoint(points) -> np.ndarray:
-    pts = as_points(points)
-    if len(pts) % 2 == 0:
-        raise ValueError("midpoint requires an odd point count")
-    return pts[(len(pts) - 1) // 2]
 
 
 def midpoints(batch: np.ndarray) -> np.ndarray:
@@ -286,17 +276,15 @@ def bundle_barycenter(streamlines: np.ndarray) -> np.ndarray:
     return streamlines.reshape(-1, 3).mean(axis=0)
 
 
-def bundle_radius(streamlines: np.ndarray, barycenter: np.ndarray | None = None) -> float:
+def bundle_radius(streamlines: np.ndarray) -> float:
     """Radius of the smallest barycenter-centered sphere containing all points."""
-    if barycenter is None:
-        barycenter = bundle_barycenter(streamlines)
-    d = np.linalg.norm(streamlines.reshape(-1, 3) - barycenter, axis=1)
+    d = np.linalg.norm(streamlines.reshape(-1, 3) - bundle_barycenter(streamlines), axis=1)
     return float(d.max())
 
 
 def _normalize_sign(vectors: np.ndarray) -> np.ndarray:
     """Flip each row so its first component with |v| > threshold is positive."""
-    v = np.atleast_2d(vectors).copy()
+    v = vectors.copy()
     significant = np.abs(v) > DEGENERATE_NORM
     # index of the first significant component per row; rows with none stay put
     any_sig = significant.any(axis=1)
@@ -304,7 +292,7 @@ def _normalize_sign(vectors: np.ndarray) -> np.ndarray:
     lead = v[np.arange(len(v)), first]
     flip = any_sig & (lead < 0)
     v[flip] *= -1.0
-    return v if vectors.ndim > 1 else v[0]
+    return v
 
 
 def plane_normals(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -323,26 +311,12 @@ def plane_normals(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return normals, degenerate
 
 
-def fit_plane_normal(points) -> tuple[np.ndarray, bool]:
-    """Unit normal of the least-squares plane through a streamline's points."""
-    pts = as_points(points)
-    if len(pts) < 3:
-        raise ValueError("plane fit needs at least 3 points")
-    normals, degenerate = plane_normals(pts[None, :, :])
-    return normals[0], bool(degenerate[0])
-
-
 def direction_vectors(batch: np.ndarray) -> np.ndarray:
     """Mean of (first - midpoint) and (last - midpoint) per streamline."""
     mid = midpoints(batch)
     v1 = batch[:, 0, :] - mid
     v2 = batch[:, -1, :] - mid
     return 0.5 * (v1 + v2)
-
-
-def direction_vector(points) -> np.ndarray:
-    pts = as_points(points)
-    return direction_vectors(pts[None, :, :])[0]
 
 
 def _angles_deg(a: np.ndarray, b: np.ndarray, fold: bool = False) -> np.ndarray:
@@ -376,41 +350,10 @@ def shape_angles(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(degenerate, np.nan, _angles_deg(v1, v2)), degenerate
 
 
-def shape_angle(points) -> float:
-    """Angle describing how close to a U-form the streamline is (180 = straight)."""
-    pts = as_points(points)
-    angles, degenerate = shape_angles(pts[None, :, :])
-    if degenerate[0]:
-        raise ValueError("degenerate shape angle")
-    return float(angles[0])
-
-
-def angle_between_planes(n1, n2) -> float:
-    """Angle between two planes via their normals, folded to [0, 90] degrees."""
-    n1 = np.asarray(n1, dtype=np.float64)
-    n2 = np.asarray(n2, dtype=np.float64)
-    m1 = float(np.linalg.norm(n1))
-    m2 = float(np.linalg.norm(n2))
-    if m1 <= DEGENERATE_NORM or m2 <= DEGENERATE_NORM:
-        raise ValueError("degenerate plane normal")
-    return float(_angles_deg(n1, n2, fold=True))
-
-
 def angles_to_plane(normals: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Angles of each row's plane to the reference plane, by their normals,
     folded to [0, 90] degrees."""
     return _angles_deg(normals, reference, fold=True)
-
-
-def angle_between_directions(d1, d2) -> float:
-    """Oriented angle between two direction vectors in [0, 180] degrees."""
-    d1 = np.asarray(d1, dtype=np.float64)
-    d2 = np.asarray(d2, dtype=np.float64)
-    m1 = float(np.linalg.norm(d1))
-    m2 = float(np.linalg.norm(d2))
-    if m1 <= DEGENERATE_NORM or m2 <= DEGENERATE_NORM:
-        raise ValueError("degenerate direction")
-    return float(_angles_deg(d1, d2))
 
 
 def angles_to_direction(directions: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

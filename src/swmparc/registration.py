@@ -77,11 +77,8 @@ class RigidTransform:
         R = self.rotation_matrix()
         return (pts - self.pivot) @ R.T + self.pivot + self.translation_mm
 
-    def is_identity(self, tol: float = 0.0) -> bool:
-        return bool(
-            np.all(np.abs(self.rotation_deg) <= tol)
-            and np.all(np.abs(self.translation_mm) <= tol)
-        )
+    def is_identity(self) -> bool:
+        return bool(np.all(self.rotation_deg == 0.0) and np.all(self.translation_mm == 0.0))
 
 
 def apply_rigid(transform: RigidTransform, streamlines: np.ndarray) -> np.ndarray:

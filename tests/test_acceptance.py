@@ -28,7 +28,6 @@ from swmparc.geometry import (
     arc_lengths,
     bundle_barycenter,
     direction_vectors,
-    fit_plane_normal,
     midpoints,
     plane_normals,
     shape_angles,
@@ -118,8 +117,8 @@ def test_criterion_02_feature_correctness():
     semi_angle = float(shape_angles(semi[None])[0][0])
     straight = np.linspace([0.0, 0.0, 0.0], [40.0, 5.0, -3.0], 21)
     straight_angle = float(shape_angles(straight[None])[0][0])
-    normal, degenerate = fit_plane_normal(make_arc(radius=12.0, span_deg=140.0))
-    normal_err = angles_to_plane(normal[None], np.array([0.0, 0.0, 1.0]))[0]
+    normals, degenerate = plane_normals(make_arc(radius=12.0, span_deg=140.0)[None])
+    normal_err = angles_to_plane(normals, np.array([0.0, 0.0, 1.0]))[0]
 
     rng = np.random.default_rng(202)
     lines = random_streamlines(rng, 20)
@@ -150,7 +149,7 @@ def test_criterion_02_feature_correctness():
     elapsed = time.perf_counter() - t0
     ok = (abs(semi_angle - 90.0) <= 0.5
           and straight_angle == 180.0
-          and not degenerate and normal_err <= 1.0
+          and not degenerate[0] and normal_err <= 1.0
           and worst_rel <= 1e-6
           and elapsed < 10.0)
     check(2, "feature correctness", ok,

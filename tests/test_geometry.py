@@ -3,19 +3,16 @@ import pytest
 
 from swmparc.geometry import (
     Bundle,
-    angle_between_directions,
-    angle_between_planes,
-    arc_length,
+    angles_to_direction,
+    angles_to_plane,
     arc_lengths,
     bundle_barycenter,
     bundle_radius,
-    direction_vector,
-    fit_plane_normal,
-    midpoint,
+    direction_vectors,
     midpoints,
+    plane_normals,
     resample,
     resample_all,
-    shape_angle,
     shape_angles,
 )
 
@@ -59,28 +56,28 @@ def test_resample_rejects_bad_input():
 def test_arc_length_matches_analytic_semicircle():
     # 2000-point polyline of a radius-10 semicircle: length ~ pi * 10
     dense = make_arc(radius=10.0, span_deg=180.0, k=2000)
-    assert arc_length(dense) == pytest.approx(np.pi * 10.0, rel=1e-5)
+    assert arc_lengths(dense[None])[0] == pytest.approx(np.pi * 10.0, rel=1e-5)
     batch = resample_all([dense, dense], 21)
-    assert np.allclose(arc_lengths(batch), arc_length(resample(dense, 21)))
+    assert np.allclose(arc_lengths(batch), arc_lengths(resample(dense, 21)[None]))
 
 
 def test_midpoint_is_exact_center_sample():
     pts = resample(make_arc(k=101), 21)
-    assert np.array_equal(midpoint(pts), pts[10])
+    assert np.array_equal(midpoints(pts[None])[0], pts[10])
     with pytest.raises(ValueError):
-        midpoint(pts[:20])
+        midpoints(pts[None, :20])
     batch = np.stack([pts, pts[::-1]])
     assert np.array_equal(midpoints(batch)[0], pts[10])
 
 
 def test_semicircle_shape_angle_is_90_degrees():
     pts = resample(make_arc(radius=10.0, span_deg=180.0, k=2001), 21)
-    assert shape_angle(pts) == pytest.approx(90.0, abs=0.5)
+    assert shape_angles(pts[None])[0][0] == pytest.approx(90.0, abs=0.5)
 
 
 def test_straight_segment_shape_angle_is_180_exactly():
     pts = resample(np.array([[0.0, 0, 0], [30.0, 0, 0]]), 21)
-    assert shape_angle(pts) == 180.0
+    assert shape_angles(pts[None])[0][0] == 180.0
 
 
 def test_shape_angle_batch_flags_degenerate():
@@ -90,46 +87,46 @@ def test_shape_angle_batch_flags_degenerate():
     angles, degen = shape_angles(np.stack([straight, weird]))
     assert angles[0] == 180.0 and not degen[0]
     assert np.isnan(angles[1]) and degen[1]
-    with pytest.raises(ValueError):
-        shape_angle(weird)
 
 
 def test_semicircle_direction_vector_points_to_chord_center():
     # midpoint (0, r, 0), endpoints (r, 0, 0) and (-r, 0, 0): mean offset (0, -r, 0)
     pts = make_arc(radius=10.0, span_deg=180.0, k=21)
-    d = direction_vector(pts)
+    d = direction_vectors(pts[None])[0]
     assert np.allclose(d, [0.0, -10.0, 0.0], atol=1e-9)
 
 
 def test_plane_normal_of_planar_curve():
     pts = make_arc(radius=10.0, span_deg=140.0, k=21)
-    normal, degenerate = fit_plane_normal(pts)
-    assert not degenerate
-    assert angle_between_planes(normal, [0.0, 0.0, 1.0]) < 1.0
+    normals, degenerate = plane_normals(pts[None])
+    assert not degenerate[0]
+    assert angles_to_plane(normals, np.array([0.0, 0.0, 1.0]))[0] < 1.0
     # sign normalization: first significant component positive
+    normal = normals[0]
     assert normal[np.argmax(np.abs(normal) > 1e-9)] > 0
 
 
 def test_plane_normal_flags_collinear_points():
     pts = resample(np.array([[0.0, 0, 0], [10.0, 0, 0]]), 21)
-    _, degenerate = fit_plane_normal(pts)
-    assert degenerate
+    _, degenerate = plane_normals(pts[None])
+    assert degenerate[0]
 
 
 def test_angle_between_planes_folds_to_90():
-    assert angle_between_planes([0, 0, 1.0], [0, 0, -1.0]) == 0.0
-    assert angle_between_planes([1.0, 0, 0], [0, 1.0, 0]) == 90.0
-    a = angle_between_planes([1.0, 0, 0], [1.0, 1.0, 0])
-    assert a == pytest.approx(45.0)
+    normals = np.array([[-1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
+    angles = angles_to_plane(normals, np.array([1.0, 0, 0]))
+    assert angles[0] == 0.0 and angles[1] == 90.0
+    assert angles[2] == pytest.approx(45.0)
 
 
 def test_angle_between_directions_keeps_orientation():
-    assert angle_between_directions([1.0, 0, 0], [-1.0, 0, 0]) == 180.0
-    assert angle_between_directions([1.0, 0, 0], [1.0, 0, 0]) == 0.0
-    with pytest.raises(ValueError):
-        angle_between_directions([0.0, 0, 0], [1.0, 0, 0])
-    with pytest.raises(ValueError):
-        angle_between_planes([0.0, 0, 0], [1.0, 0, 0])
+    directions = np.array([[-1.0, 0, 0], [1.0, 0, 0], [0.0, 0, 0]])
+    angles, degenerate = angles_to_direction(directions, np.array([1.0, 0, 0]))
+    assert angles[0] == 180.0 and angles[1] == 0.0
+    # a zero direction, or a zero reference, has no angle
+    assert np.isnan(angles[2]) and degenerate.tolist() == [False, False, True]
+    angles, degenerate = angles_to_direction(directions, np.zeros(3))
+    assert np.isnan(angles).all() and degenerate.all()
 
 
 def test_features_rigid_invariant(rng):
@@ -146,14 +143,14 @@ def test_features_rigid_invariant(rng):
         a0, _ = shape_angles(lines)
         a1, _ = shape_angles(moved)
         assert np.allclose(a1, a0, rtol=1e-6, atol=1e-6)
-        for s0, s1 in zip(lines[:3], moved[:3]):
-            n0, deg0 = fit_plane_normal(s0)
-            n1, deg1 = fit_plane_normal(s1)
-            assert deg0 == deg1
-            assert angle_between_planes(n0, ref_n) == pytest.approx(
-                angle_between_planes(n1, R @ ref_n), abs=1e-6)
-            assert angle_between_directions(direction_vector(s0), ref_d) == pytest.approx(
-                angle_between_directions(direction_vector(s1), R @ ref_d), abs=1e-6)
+        n0, deg0 = plane_normals(lines[:3])
+        n1, deg1 = plane_normals(moved[:3])
+        assert np.array_equal(deg0, deg1)
+        assert np.allclose(angles_to_plane(n0, ref_n), angles_to_plane(n1, R @ ref_n),
+                           rtol=0.0, atol=1e-6)
+        assert np.allclose(angles_to_direction(direction_vectors(lines[:3]), ref_d)[0],
+                           angles_to_direction(direction_vectors(moved[:3]), R @ ref_d)[0],
+                           rtol=0.0, atol=1e-6)
 
 
 def test_bundle_validation_and_summary():

@@ -314,6 +314,24 @@ def test_labels_unchanged_when_subject_streamlines_reversed():
     assert t.translation_mm.tobytes() == t_back.translation_mm.tobytes()
 
 
+@pytest.mark.parametrize("seed", range(11, 16))
+def test_labels_unchanged_when_atlas_streamlines_reversed(seed):
+    # the atlas side of the flip invariance: reading every atlas bundle
+    # streamline backwards gives the same labels (thresholds may move in
+    # their last bits, as the features' sums run in the other order)
+    spec = random_scene_spec(n_bundles=4, streamlines_per_bundle=30, distractor_count=150,
+                             seed=seed, global_rotation_deg=(4.0, -3.0, 6.0),
+                             global_translation_mm=(7.0, -5.0, 3.0))
+    scene = generate_scene(spec)
+    backward_bundles = [Bundle(b.id, np.ascontiguousarray(b.streamlines[:, ::-1]))
+                        for b in scene.atlas_bundles]
+    cfg = RunConfig()
+    forward = parcellate(build_atlas(scene.atlas_bundles), scene.subject, cfg)
+    backward = parcellate(build_atlas(backward_bundles), scene.subject, cfg)
+    assert all(len(b.accepted_indices) > 0 for b in forward.bundles)
+    assert backward.label_map() == forward.label_map()
+
+
 def clustered_scene(seed, rotation_deg=(4.0, -3.0, 6.0), translation_mm=(6.0, -4.0, 3.0),
                     noise_mm=0.0):
     """Four bundles, singleton distractors and clusters of 2-4 near-copies,
