@@ -92,8 +92,8 @@ def cmd_synth(args) -> int:
     bundles_dir = os.path.join(args.out, "bundles")
     os.makedirs(bundles_dir, exist_ok=True)
     for bundle in scene.atlas_bundles:
-        write_tck(list(bundle.streamlines), os.path.join(bundles_dir, f"{bundle.id}.tck"))
-    write_tck(list(scene.subject), os.path.join(args.out, "subject.tck"))
+        write_tck(bundle.streamlines, os.path.join(bundles_dir, f"{bundle.id}.tck"))
+    write_tck(scene.subject, os.path.join(args.out, "subject.tck"))
     write_truth(scene.truth_labels, os.path.join(args.out, "truth.json"))
     with open(os.path.join(args.out, "scene.json"), "w", encoding="ascii") as fh:
         json.dump(spec.to_dict(), fh, indent=2)

@@ -46,12 +46,9 @@ def as_points(points) -> np.ndarray:
     return pts
 
 
-def dedupe_consecutive(points: np.ndarray) -> np.ndarray:
-    """Drop points identical to their predecessor (zero-length segments)."""
-    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    keep = np.ones(len(points), dtype=bool)
-    keep[1:] = seg > 0.0
-    return points[keep]
+def _norms(d: np.ndarray) -> np.ndarray:
+    """Row norms of an (n, 3) array, bit for bit ``np.linalg.norm(d, axis=1)``."""
+    return np.sqrt(np.add.reduce(d * d, axis=1))
 
 
 def resample(points, k: int = RunConfig.resample_k) -> np.ndarray:
@@ -62,15 +59,18 @@ def resample(points, k: int = RunConfig.resample_k) -> np.ndarray:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    pts = dedupe_consecutive(as_points(points))
-    if len(pts) < 2:
-        raise ValueError(_ZERO_LENGTH)
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    pts = as_points(points)
+    seg = _norms(np.diff(pts, axis=0))
+    if not seg.all():
+        pts = pts[np.concatenate(([True], seg > 0.0))]
+        seg = _norms(np.diff(pts, axis=0))
     cum = np.concatenate(([0.0], np.cumsum(seg)))
     total = cum[-1]
     if total <= 0.0:
         raise ValueError(_ZERO_LENGTH)
-    target = np.linspace(0.0, total, k)
+    # np.linspace(0.0, total, k), bit for bit
+    target = np.arange(k) * (total / (k - 1))
+    target[-1] = total
     out = np.empty((k, 3))
     for dim in range(3):
         out[:, dim] = np.interp(target, cum, pts[:, dim])
@@ -140,7 +140,7 @@ def _resample_chunk(arrays, counts, k, out):
     finite = np.ones(len(counts), dtype=bool)
     finite[np.searchsorted(ends, np.flatnonzero(~np.isfinite(coords).all(axis=0)),
                            side="right")] = False
-    # dedupe_consecutive over the whole chunk; the segments that cross a
+    # resample's dedupe over the whole chunk; the segments that cross a
     # streamline boundary are overruled by keeping every first point
     with np.errstate(over="ignore", invalid="ignore"):
         seg = _segment_lengths(coords)

@@ -125,7 +125,7 @@ def write_atlas(atlas: AtlasModel, directory) -> None:
     }
     _dump_json(stats, os.path.join(directory, STATS_NAME))
     for m in atlas.bundles:
-        write_tck(list(m.bundle.streamlines), os.path.join(directory, f"{m.id}.tck"))
+        write_tck(m.bundle.streamlines, os.path.join(directory, f"{m.id}.tck"))
 
 
 def _interval_from_dict(d) -> FeatureInterval:
@@ -288,9 +288,8 @@ def write_result(result, directory, subject_streamlines=None) -> None:
         }
         bundles.append(entry)
         if b.status != "absent" and subject_streamlines is not None:
-            accepted = [np.asarray(subject_streamlines[i], dtype=np.float64)
-                        for i in b.accepted_indices]
-            write_tck(accepted, os.path.join(directory, f"{b.bundle_id}.tck"))
+            write_tck([subject_streamlines[i] for i in b.accepted_indices],
+                      os.path.join(directory, f"{b.bundle_id}.tck"))
     summary = {
         "format_version": FORMAT_VERSION,
         "subject_count": int(result.subject_count),

@@ -7,6 +7,17 @@ has an analytic expectation.  Per-streamline jitter is driven by one shared
 heavy-tailed magnitude that scales all parameter deviations together; a
 streamline that is off in one feature tends to be off in the others, the way
 outlier members of a real bundle are.
+
+Draw-order contract: a bundle's generator, seeded with its spec's seed,
+draws one standard-normal block of shape (count, 10 + 3k).  Row i holds
+streamline i's draws in order: the magnitude z-score, the centre (3),
+radius, span and phase deviations, the tilt rotation vector (3), and the
+(k, 3) point noise.  A bundle of fewer streamlines from the same seed is
+therefore a prefix of a larger one.  The whole bundle is then built in
+array passes whose arithmetic matches, bit for bit, the per-streamline
+formulas it replaced.  Distractors draw candidate by candidate; a candidate
+is redrawn when, in one (spheres, k) distance array, some keep-out sphere
+holds one of its points (the distance is not above the radius).
 """
 from __future__ import annotations
 
@@ -88,31 +99,36 @@ def generate_bundle(spec: ArcSpec, k: int = RunConfig.resample_k) -> Bundle:
     span = math.radians(spec.span_deg)
     sigma = spec.jitter_mm
     angular_sd = _ANGULAR_GAIN * sigma / spec.radius_mm
+    count = spec.count
 
-    streamlines = np.empty((spec.count, k, 3), dtype=np.float64)
-    for i in range(spec.count):
-        # one shared magnitude couples all deviation components; the z-score
-        # is clipped so outliers stay heavy but bounded (unbounded tails
-        # stretch feature histograms until distribution fits go to mush)
-        z = min(max(rng.standard_normal(), -2.0), 2.0)
-        magnitude = math.exp(_MAGNITUDE_SPREAD * z)
-        d_center = sigma * magnitude * rng.standard_normal(3)
-        d_radius = sigma * magnitude * rng.standard_normal()
-        d_span = angular_sd * magnitude * rng.standard_normal()
-        d_phase = angular_sd * magnitude * rng.standard_normal()
-        tilt = Rotation.from_rotvec(angular_sd * magnitude * rng.standard_normal(3))
+    # row i: streamline i's z-score, centre (3), radius, span, phase and tilt
+    # (3) deviations, then its (k, 3) point noise
+    draws = rng.standard_normal((count, 10 + 3 * k))
+    # one shared magnitude couples all deviation components; the z-score
+    # is clipped so outliers stay heavy but bounded (unbounded tails
+    # stretch feature histograms until distribution fits go to mush)
+    z = np.clip(draws[:, 0], -2.0, 2.0)
+    magnitude = np.array([math.exp(_MAGNITUDE_SPREAD * v) for v in z.tolist()])
+    linear = sigma * magnitude
+    angular = angular_sd * magnitude
+    d_center = linear[:, None] * draws[:, 1:4]
+    d_radius = linear * draws[:, 4]
+    d_span = angular * draws[:, 5]
+    d_phase = angular * draws[:, 6]
+    tilt = Rotation.from_rotvec(angular[:, None] * draws[:, 7:10]).as_matrix()
 
-        half = 0.5 * max(span + d_span, math.radians(5.0))
-        theta = np.linspace(-half, half, k) + d_phase
-        radius = max(spec.radius_mm + d_radius, 0.5)
-        local = np.stack([
-            radius * np.cos(theta),
-            radius * np.sin(theta),
-            np.zeros(k),
-        ], axis=1)
-        world = center + d_center + (frame.apply(tilt.apply(local)))
-        world += _POINT_NOISE * sigma * rng.standard_normal((k, 3))
-        streamlines[i] = world
+    half = 0.5 * np.maximum(span + d_span, math.radians(5.0))
+    theta = np.linspace(-half, half, k, axis=1) + d_phase[:, None]
+    radius = np.maximum(spec.radius_mm + d_radius, 0.5)[:, None]
+    local = np.zeros((count, k, 3))
+    local[:, :, 0] = radius * np.cos(theta)
+    local[:, :, 1] = radius * np.sin(theta)
+    # v @ m.T is how Rotation.apply rotates points; m @ v gives other bits
+    tilted = (local @ tilt.transpose(0, 2, 1)).reshape(count * k, 3)
+    streamlines = np.empty((count, k, 3), dtype=np.float64)
+    np.add((center + d_center)[:, None, :], frame.apply(tilted).reshape(count, k, 3),
+           out=streamlines)
+    streamlines += (_POINT_NOISE * sigma) * draws[:, 10:].reshape(count, k, 3)
     return Bundle(spec.bundle_id, streamlines)
 
 
@@ -193,12 +209,14 @@ def generate_distractors(count: int, lo, hi, rng: np.random.Generator,
     """Random low-curvature polylines spread over a box.
 
     keep_out is an optional list of (center, radius) spheres; a candidate with
-    any point inside one is redrawn.  Draw order is fixed, so results are
-    deterministic for a given generator state.
+    a point within a radius of its sphere's center is redrawn.  Draw order
+    is fixed, so results are deterministic for a given generator state.
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
-    spheres = [(np.asarray(c, dtype=np.float64), float(r)) for c, r in (keep_out or [])]
+    spheres = keep_out or []
+    centers = np.array([c for c, _ in spheres], dtype=np.float64).reshape(-1, 1, 3)
+    radii = np.array([r for _, r in spheres], dtype=np.float64)
     out = np.empty((count, k, 3), dtype=np.float64)
     t = np.linspace(-0.5, 0.5, k)[:, None]
     for i in range(count):
@@ -212,7 +230,7 @@ def generate_distractors(count: int, lo, hi, rng: np.random.Generator,
             length = rng.uniform(30.0, 90.0)
             bend = rng.uniform(0.0, 0.25)
             line = start + length * t * u + bend * length * (t ** 2 - 1.0 / 12.0) * v
-            if all(np.linalg.norm(line - c, axis=1).min() > r for c, r in spheres):
+            if (np.linalg.norm(line - centers, axis=2).min(axis=1) > radii).all():
                 out[i] = line
                 break
         else:

@@ -20,6 +20,10 @@ MAGIC = "mrtrix tracks"
 DATATYPE = "Float32LE"
 
 
+_NAN_ROW = np.full((1, 3), np.nan)
+_INF_ROW = np.full((1, 3), np.inf)
+
+
 class TrackFileError(ValueError):
     """Malformed track file; message carries the byte offset when known."""
 
@@ -36,38 +40,52 @@ def _header_bytes(count: int, offset: int) -> bytes:
 
 
 def write_tck(streamlines, path) -> None:
-    """Write streamlines (sequence of (n,3) arrays) to a track file."""
-    arrays = []
-    for i, s in enumerate(streamlines):
-        a = np.asarray(s, dtype=np.float64)
-        if a.ndim != 2 or a.shape[1] != 3 or len(a) < 2:
-            raise ValueError(f"streamline {i} is not an (n>=2, 3) array")
-        if not np.all(np.isfinite(a)):
-            raise ValueError(f"streamline {i} has non-finite points")
-        arrays.append(a.astype("<f4"))
+    """Write streamlines, an (n, k, 3) stack or a sequence of (m, 3) arrays,
+    to a track file.
+
+    The points are cast to float32 in one concatenation into the file's
+    body, between the NaN separators, and the body is checked for
+    finiteness in one pass.  A bad streamline, also one with a coordinate
+    beyond the float32 range, raises ValueError naming the first one in
+    input order, and nothing is written.
+    """
+    arrays = [np.asarray(s, dtype=np.float64) for s in streamlines]
+    shape_bad = next((i for i, a in enumerate(arrays)
+                      if a.ndim != 2 or a.shape[1] != 3 or len(a) < 2), None)
+    if shape_bad is not None:
+        arrays = arrays[:shape_bad]
+    n = len(arrays)
+    # streamline i's points end on its NaN separator at row seps[i]; the Inf
+    # terminator is the last row
+    seps = np.cumsum(np.fromiter(map(len, arrays), dtype=np.int64, count=n) + 1) - 1
+    payload = np.empty((int(seps[-1]) + 2 if n else 1, 3), dtype="<f4")
+    parts = [_NAN_ROW] * (2 * n) + [_INF_ROW]
+    parts[0:2 * n:2] = arrays
+    with np.errstate(over="ignore"):
+        np.concatenate(parts, out=payload)
+    finite = np.isfinite(payload)
+    if np.count_nonzero(finite) != 3 * (len(payload) - n - 1):
+        bad = ~finite.all(axis=1)
+        bad[seps] = False
+        bad[-1] = False
+        i = int(np.searchsorted(seps, np.argmax(bad)))
+        raise ValueError(f"streamline {i} has non-finite points")
+    if shape_bad is not None:
+        raise ValueError(f"streamline {shape_bad} is not an (n>=2, 3) array")
 
     # the header states the byte offset of its own end, so the offset field
     # is grown until the length stops changing
-    count = len(arrays)
-    offset = len(_header_bytes(count, 0))
+    offset = len(_header_bytes(n, 0))
     while True:
-        header = _header_bytes(count, offset)
+        header = _header_bytes(n, offset)
         if len(header) == offset:
             break
         offset = len(header)
 
-    nan_sep = np.full((1, 3), np.nan, dtype="<f4")
-    parts = []
-    for a in arrays:
-        parts.append(a)
-        parts.append(nan_sep)
-    parts.append(np.full((1, 3), np.inf, dtype="<f4"))
-    payload = np.concatenate(parts) if parts else np.full((1, 3), np.inf, dtype="<f4")
-
     try:
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(payload.tobytes())
+            fh.write(payload)
     except OSError as e:
         raise OSError(f"cannot write track file {path}: {e}") from e
 

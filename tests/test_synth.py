@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -184,3 +185,65 @@ def test_ambiguous_pair_overlaps():
     ca = bundle_barycenter(a.streamlines)
     cb = bundle_barycenter(b.streamlines)
     assert np.linalg.norm(ca - cb) < 0.5 * bundle_radius(a.streamlines)
+
+
+# -- the generated bits, pinned ------------------------------------------------
+
+def _sha(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+ARC2 = dataclasses.replace(ARC, bundle_id="arc2", center=(200.0, 0.0, 0.0), seed=8)
+SPHERES = [((0.0, 0.0, 0.0), 20.0), ((25.0, 10.0, -5.0), 12.0)]
+SCENE = SceneSpec(bundles=(ARC, ARC2), distractor_count=20, distractor_clearance_factor=3.0)
+
+GENERATED = {
+    **{f"bundle_{count}_{k}": (lambda count=count, k=k: generate_bundle(
+        dataclasses.replace(ARC, count=count), k).streamlines)
+       for count in (1, 25, 300) for k in (21, 31)},
+    "bundle_jitter_0": lambda: generate_bundle(
+        dataclasses.replace(ARC, jitter_mm=0.0, count=5)).streamlines,
+    "distractors": lambda: generate_distractors(
+        50, (-40.0,) * 3, (40.0,) * 3, np.random.default_rng(0)),
+    "distractors_keep_out": lambda: generate_distractors(
+        40, (-40.0,) * 3, (40.0,) * 3, np.random.default_rng(1), k=31, keep_out=SPHERES),
+    "scene_local_move": lambda: generate_scene(dataclasses.replace(
+        SCENE, local_rotations_deg={"arc": (3.0, -2.0, 1.0)},
+        local_translations_mm={"arc": (2.0, 0.0, 0.0)}, seed=5)).subject,
+    "scene_global_move": lambda: generate_scene(dataclasses.replace(
+        SCENE, global_rotation_deg=(4.0, -3.0, 8.0),
+        global_translation_mm=(10.0, 0.0, -5.0), seed=2)).subject,
+}
+
+# sha256 of the float64 bytes, recorded from the per-streamline generator that
+# the whole-array passes replaced (numpy 2.4, scipy 1.17, x86-64).  The draws,
+# their order and the arithmetic are the contract; a different libm may move
+# last bits of sin, cos or exp and with them these digests.
+DIGESTS = {
+    "bundle_1_21": "f1d85ff243065af640eb3eb5685a29a5957c5a5ce8df0363dde747e195f77e0c",
+    "bundle_1_31": "493d9b8fbce581a7a2e956102e14e0a432646cf40a27b13eeb78ffcf16861bb0",
+    "bundle_25_21": "2abb30a3629ef7022ddfb05c08a7dea6134cff398b5cd1e6731a4f7fd569de57",
+    "bundle_25_31": "add8c811fcf15f207d5feeea6f02c92e7af83d9392df655129c4eaa8e5ec272c",
+    "bundle_300_21": "20f0a8190efd685c9b7e5099c6b9ce8f2b4df86b6bd7d0abe361599d9d0e7f9e",
+    "bundle_300_31": "01a25388d26fac3c53eb18a53a8ddb2e5a55dcc37cfe8d4760ed52806e1cc08f",
+    "bundle_jitter_0": "19987387787a759f82889fd2ed77f9b3118e925d675a09ef6eb944540eb1e3a5",
+    "distractors": "bc4a24dd981c635721009d00aa6165cd8c032736ac552534f2a4f27afcaf8fc0",
+    "distractors_keep_out": "e2ab948185c2707068747c9f8412a29b7c34f74bb34c908e33cea29e506a0efe",
+    "scene_local_move": "0a9b26ac3a0ce6965b96f554907469890e182ea1e93de6323f93acd9c88e1d93",
+    "scene_global_move": "40a5aba05626166ecb2915aed613591bba45343e2505d633f41b36f25b65d785",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_generated_bits_are_pinned(name):
+    out = GENERATED[name]()
+    assert out.dtype == np.float64
+    assert out.flags.c_contiguous
+    assert _sha(out) == DIGESTS[name]
+
+
+def test_keep_out_spheres_force_redraws():
+    # the pinned keep-out draw differs from the same draw without spheres, so
+    # its digest covers the redraw path
+    free = generate_distractors(40, (-40.0,) * 3, (40.0,) * 3, np.random.default_rng(1), k=31)
+    assert not np.array_equal(free, GENERATED["distractors_keep_out"]())

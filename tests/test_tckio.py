@@ -60,6 +60,35 @@ def test_write_rejects_bad_shapes(tmp_path):
         write_tck([bad], tmp_path / "x.tck")
 
 
+def test_write_names_the_first_bad_streamline_in_input_order(tmp_path):
+    good = np.ones((3, 3))
+    nan = np.full((3, 3), np.nan)
+    cases = [
+        ([good, good, nan, good[:1]], "streamline 2 has non-finite points"),
+        ([good, good[:1], nan], r"streamline 1 is not an \(n>=2, 3\) array"),
+        ([good, nan[:1]], r"streamline 1 is not an \(n>=2, 3\) array"),
+        # a coordinate beyond the float32 range would be stored as Inf,
+        # which no reader takes for a point
+        ([good, good * 1e39], "streamline 1 has non-finite points"),
+    ]
+    for lines, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            write_tck(lines, tmp_path / "x.tck")
+        assert not (tmp_path / "x.tck").exists()
+
+
+def test_stack_list_and_iterator_write_the_same_bytes(tmp_path):
+    stack = np.random.default_rng(4).uniform(-80, 80, (6, 21, 3))
+    _, from_stack = write_raw(tmp_path, stack, "a.tck")
+    _, from_list = write_raw(tmp_path, list(stack), "b.tck")
+    _, from_iter = write_raw(tmp_path, iter(stack), "c.tck")
+    assert from_stack == from_list == from_iter
+    body = np.frombuffer(from_stack[data_offset(from_stack):], dtype="<f4").reshape(-1, 3)
+    expected = np.concatenate([np.concatenate([s.astype("<f4"), np.full((1, 3), np.nan)])
+                               for s in stack] + [np.full((1, 3), np.inf)])
+    assert body.tobytes() == expected.astype("<f4").tobytes()
+
+
 def test_bad_magic(tmp_path):
     path, raw = write_raw(tmp_path, [np.zeros((2, 3))])
     path.write_bytes(b"mrtrix quacks" + raw[13:])
