@@ -108,6 +108,7 @@ def generate_bundle(spec: ArcSpec, k: int = RunConfig.resample_k) -> Bundle:
     # is clipped so outliers stay heavy but bounded (unbounded tails
     # stretch feature histograms until distribution fits go to mush)
     z = np.clip(draws[:, 0], -2.0, 2.0)
+    # math.exp per row: numpy's vectorized exp need not round the same way
     magnitude = np.array([math.exp(_MAGNITUDE_SPREAD * v) for v in z.tolist()])
     linear = sigma * magnitude
     angular = angular_sd * magnitude
