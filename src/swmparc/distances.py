@@ -23,6 +23,17 @@ For the same reason a static set wider than a third of the budget's rows
 (1,040 streamlines at K = 21) is split into column blocks of that width, so
 that its chunks keep at least three rows; narrower sets, every call of the
 bench workloads among them, keep one block.
+
+`pairwise_mdf(A, A)`, the same object on both sides, computes each unordered
+pair once; `pairwise_mmea(A, A)` centres A once and makes that call, which is
+the leave-one-out distance of atlas analysis.  Column tiles of `_SELF_TILE`
+streamlines run the kernel over the rows up to the tile's end, and each tile
+is mirrored below the diagonal, so the matrix is exactly symmetric.  A
+finite row's diagonal is 0.0, the MDF of a streamline with itself, where the
+expansion leaves up to about 1e-6 mm.  Entry (j, i) carries the bits of
+(i, j), not those the general path computes for it, and the tiles' matmuls
+have other shapes, so a self matrix differs from `pairwise_mdf(A, A.copy())`
+in last bits; a copy of A, however equal, takes the general path.
 """
 from __future__ import annotations
 
@@ -39,6 +50,12 @@ _BLOCK_ELEMENTS = 1 << 17
 # `MdfKernel.chunks` leaves one-row chunks, which numpy runs as
 # matrix-vector products, with other bits and one loop pass per row
 _MIN_ROWS = 3
+# Columns of one tile of the self path, `pairwise_mdf(A, A)`: its rows run to
+# the tile's end, so about n * _SELF_TILE / 2 pairs past the n^2 / 2 unordered
+# ones are computed twice, and each tile costs one kernel's set-up
+_SELF_TILE = 32
+# the entries of a tile's diagonal block that are mirrored from above it
+_BELOW = np.tri(_SELF_TILE, k=-1, dtype=bool)
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,17 +174,42 @@ class MdfKernel:
         return out
 
 
+def _pairwise_self(A: np.ndarray) -> np.ndarray:
+    """All-pairs MDF of one (n, K, 3) stack with itself, each pair once.
+
+    Column tiles of `_SELF_TILE` streamlines each run `MdfKernel` over the
+    rows up to the tile's end, which covers every pair (i, j) with i <= j;
+    the tile is then mirrored onto the rows below the diagonal, so the
+    matrix is exactly symmetric.  The diagonal of a finite row is 0.0.
+    """
+    n = A.shape[0]
+    out = np.empty((n, n))
+    aug = augment(A.transpose(1, 0, 2))
+    for c0 in range(0, n, _SELF_TILE):
+        c1 = min(n, c0 + _SELF_TILE)
+        MdfKernel(A[c0:c1], c1)(aug[:, :c1], out[:c1, c0:c1])
+        out[c0:c1, :c0] = out[:c0, c0:c1].T
+        tile = out[c0:c1, c0:c1]
+        np.copyto(tile, tile.T, where=_BELOW[:c1 - c0, :c1 - c0])
+    out.reshape(-1)[::n + 1][np.isfinite(A).all(axis=(1, 2))] = 0.0
+    return out
+
+
 def pairwise_mdf(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """All-pairs MDF between two (n, K, 3) stacks, returned as (n, m).
 
     Runs `MdfKernel` on row chunks of A, so the augmented rows and the
     distance blocks stay within the `_BLOCK_ELEMENTS` budget whatever n and m.
+    When ``B is A`` each unordered pair is computed once (`_pairwise_self`).
     """
+    same = B is A
     A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
+    B = A if same else np.asarray(B, dtype=np.float64)
     if A.shape[1:] != B.shape[1:]:
         raise ValueError("stacks must share the same (K, 3) streamline shape")
     n = A.shape[0]
+    if same and n:
+        return _pairwise_self(A)
     out = np.empty((n, B.shape[0]))
     if out.size:
         kernel = MdfKernel(B, n)
@@ -177,9 +219,13 @@ def pairwise_mdf(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def pairwise_mmea(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """All-pairs medial-aligned MDF between two (n, K, 3) stacks."""
-    return pairwise_mdf(center_at_midpoints(np.asarray(A, dtype=np.float64)),
-                        center_at_midpoints(np.asarray(B, dtype=np.float64)))
+    """All-pairs medial-aligned MDF between two (n, K, 3) stacks; when
+    ``B is A`` the stack is centred once and takes the self path of
+    `pairwise_mdf`."""
+    centred = center_at_midpoints(np.asarray(A, dtype=np.float64))
+    if B is A:
+        return pairwise_mdf(centred, centred)
+    return pairwise_mdf(centred, center_at_midpoints(np.asarray(B, dtype=np.float64)))
 
 
 def bundle_min_distance(A, B) -> float:

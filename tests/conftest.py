@@ -20,6 +20,22 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def mixed_arcs(seed=0, count=300, jitter=0.5):
+    """A jittered arc bundle (K = 21) with each line reversed at random."""
+    spec = ArcSpec("b", (0.0, 0.0, 0.0), 10.0, 170.0, (20.0, 40.0), jitter, count, seed)
+    lines = generate_bundle(spec).streamlines.copy()
+    reverse = np.random.default_rng(seed).random(count) < 0.5
+    lines[reverse] = lines[reverse, ::-1]
+    return lines
+
+
+def palindrome(line):
+    """The line's first half and its mirror, x_k = x_(K-1-k): its direct and
+    flipped MDFs to any centroid are equal."""
+    half = len(line) // 2
+    return np.concatenate((line[:half + 1], line[:half][::-1]))
+
+
 def fit_all_families(samples, min_samples=8):
     """Every family's fit of one sample set (None where it is unavailable):
     the oracle that `select_best`'s choice is checked against."""

@@ -12,7 +12,7 @@ import swmparc.clustering as clustering
 from swmparc.clustering import Cluster, cluster_centroids, quickbundles
 from swmparc.distances import mdf
 
-from conftest import random_streamlines, random_unit
+from conftest import mixed_arcs, palindrome, random_streamlines, random_unit
 
 
 def replay(streamlines, threshold):
@@ -220,23 +220,45 @@ def chunk_case():
     return lines + rng.normal(0.0, 0.3, lines.shape), 6.0
 
 
+# rows of `long_arc_case` that are palindromes
+PALINDROME_ROWS = (1, 2, 100, 230, 302)
+
+
+def long_arc_case():
+    """300 arcs in random orientations, so long runs are proven, with
+    palindromes, which no run can prove, early, in the middle and last."""
+    lines = list(mixed_arcs(seed=12, count=300))
+    for row in PALINDROME_ROWS:
+        lines.insert(row, palindrome(lines[row]))
+    return np.stack(lines), math.inf
+
+
+def nan_arc_case():
+    """A NaN line among arcs at an infinite threshold: the general loop."""
+    lines = mixed_arcs(seed=13, count=60)
+    lines[40] = np.nan
+    return lines, math.inf
+
+
 @st.composite
 def streamline_sets(draw):
     """Random lines near 100 mm, where the means round at ~1e-13 mm, with exact
-    and point-reversed copies, copies shifted by the threshold, and NaN lines."""
+    and point-reversed copies, copies shifted by the threshold, palindromes
+    and NaN lines."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     threshold = draw(st.sampled_from(THRESHOLDS))
     spread = draw(st.sampled_from([3.0, 30.0]))
     lines = list(random_streamlines(rng, draw(st.integers(1, 40)), scale=spread) + 100.0)
     step = threshold if math.isfinite(threshold) else 10.0
-    for kind in draw(st.lists(st.sampled_from(["copy", "reversed", "shifted", "axis", "nan"]),
-                              max_size=8)):
+    kinds = ["copy", "reversed", "shifted", "axis", "palindrome", "nan"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=8)):
         s = lines[rng.integers(len(lines))]
         lines.append({
             "copy": lambda: s.copy(),
             "reversed": lambda: s[::-1].copy(),
             "shifted": lambda: s + step * random_unit(rng),
             "axis": lambda: s + [step, 0.0, 0.0],
+            "palindrome": lambda: palindrome(s),
             "nan": lambda: np.full_like(s, np.nan),
         }[kind]())
     lines = np.stack(lines)
@@ -254,6 +276,8 @@ def streamline_sets(draw):
 @example(nan_case())
 @example((random_streamlines(np.random.default_rng(9), 40) + 100.0, 2.0))
 @example(chunk_case())
+@example(long_arc_case())
+@example(nan_arc_case())
 @example((np.empty((3, 0, 3)), 2.0))  # no points: NaN MDFs, three clusters
 def test_pruned_scan_matches_full_scan_bit_for_bit(case):
     lines, threshold = case
@@ -295,6 +319,27 @@ def test_oracle_cases_exercise_their_paths():
     clusters = quickbundles(np.empty((3, 0, 3)), 2.0)
     assert [c.member_indices for c in clusters] == [[0], [1], [2]]
     assert [c.centroid.shape for c in clusters] == [(0, 3)] * 3
+
+
+def test_infinite_threshold_cases_exercise_their_paths(monkeypatch):
+    # certified runs take most lines of the arc bundle, and every palindrome
+    # (direct and flipped MDFs equal, so never proven) takes the full scan's
+    # step; the NaN line sends its input to the general loop
+    entered, exact = [], []
+    one_cluster, full_scan_flip = clustering._one_cluster, clustering._full_scan_flip
+    monkeypatch.setattr(clustering, "_one_cluster",
+                        lambda lines, scale: entered.append(len(lines)) or one_cluster(lines, scale))
+    monkeypatch.setattr(clustering, "_full_scan_flip",
+                        lambda *args: exact.append(1) or full_scan_flip(*args))
+    lines, threshold = long_arc_case()
+    for row in PALINDROME_ROWS:
+        assert np.array_equal(lines[row], lines[row][::-1])
+    clusters = quickbundles(lines, threshold)
+    assert entered == [len(lines)] and len(clusters) == 1
+    assert len(PALINDROME_ROWS) <= len(exact) < len(lines) // 10
+    lines, threshold = nan_arc_case()
+    clusters = quickbundles(lines, threshold)
+    assert entered == [len(long_arc_case()[0])] and len(clusters) > 2
 
 
 def test_temporaries_stay_bounded():

@@ -77,7 +77,8 @@ def test_pairwise_mdf_chunking(rng, monkeypatch):
 def test_pairwise_mdf_matches_scalar_kernel_in_chunks(data):
     # shapes and the budget come from hypothesis, the points from a seeded
     # generator: the expansion is only accurate to 1e-9 away from coincident
-    # points (see test_pairwise_self_distance_near_zero)
+    # points (about 1e-6 at them, which is why the self path pins its
+    # diagonal; see test_pairwise_self_distance_near_zero)
     n = data.draw(st.integers(1, 30), label="n")
     m = data.draw(st.integers(1, 30), label="m")
     k = data.draw(st.integers(1, 10).map(lambda h: 2 * h + 1), label="K")
@@ -160,9 +161,58 @@ def test_row_chunks_are_even(rows, monkeypatch):
 
 
 def test_pairwise_self_distance_near_zero(rng):
-    # the matmul expansion loses some precision exactly at zero distance
+    # the matmul expansion leaves about 1e-6 at zero distance; the self path
+    # pins the diagonal of finite rows to the exact MDF(s, s) = 0
     A = random_streamlines(rng, 12) + 150.0
-    assert np.abs(np.diag(pairwise_mdf(A, A))).max() < 1e-5
+    assert np.all(np.diag(pairwise_mdf(A, A)) == 0.0)
+    assert np.all(np.diag(pairwise_mmea(A, A)) == 0.0)
+
+
+TILE = dist._SELF_TILE
+
+
+@pytest.mark.parametrize("n", [1, 2, TILE - 1, TILE, TILE + 1, 2 * TILE + 5])
+@pytest.mark.parametrize("budget", [None, 2 * 21 * TILE * 3])
+def test_self_path_is_symmetric_and_exact(n, budget, rng, monkeypatch):
+    # each unordered pair once, mirrored: bitwise symmetric, and within 1e-9
+    # of the point-difference references off the diagonal.  The small budget
+    # holds three rows of a tile, so one tile spans several row chunks
+    if budget is not None:
+        monkeypatch.setattr(dist, "_BLOCK_ELEMENTS", budget)
+        assert dist.MdfKernel(np.zeros((TILE, 21, 3)), n).rows == min(3, n)
+    A = random_streamlines(rng, n) + 50.0
+    for fast, scalar in ((pairwise_mdf(A, A), mdf), (pairwise_mmea(A, A), mmea)):
+        slow = np.array([[scalar(a, b) for b in A] for a in A])
+        assert fast.shape == (n, n)
+        assert np.array_equal(fast, fast.T)
+        assert np.all(np.diag(fast) == 0.0)
+        assert np.abs(fast - slow).max() < 1e-9
+
+
+def test_self_path_keeps_nan_rows(rng):
+    A = random_streamlines(rng, TILE + 7)
+    A[TILE - 2, 4] = np.nan
+    for d in (pairwise_mdf(A, A), pairwise_mmea(A, A)):
+        assert np.array_equal(d, d.T, equal_nan=True)
+        assert np.isnan(d[TILE - 2]).all() and np.isnan(d[:, TILE - 2]).all()
+        others = np.delete(np.delete(d, TILE - 2, axis=0), TILE - 2, axis=1)
+        assert np.isfinite(others).all() and np.all(np.diag(others) == 0.0)
+
+
+def test_only_the_same_object_takes_the_self_path(rng, monkeypatch):
+    calls = []
+    self_path = dist._pairwise_self
+    monkeypatch.setattr(dist, "_pairwise_self", lambda A: calls.append(len(A)) or self_path(A))
+    A = random_streamlines(rng, 9)
+    copy = A.copy()
+    general = pairwise_mdf(A, copy)
+    pairwise_mmea(A, copy)
+    assert calls == []
+    same = pairwise_mdf(A, A)
+    pairwise_mmea(A, A)
+    assert calls == [9, 9]
+    off = ~np.eye(9, dtype=bool)
+    assert np.abs(same - general)[off].max() < 1e-9
 
 
 def test_pairwise_mmea_matches_scalar(rng):
