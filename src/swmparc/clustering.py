@@ -47,16 +47,16 @@ row i's direct and flipped MDFs at its turn within D of a' and b', so
 |a' - b'| > 2 D proves the decision that c gives.  (Adding up the moves
 one join at a time, D' = sum of (min(a', b') + D') / count, bounds the same
 drift more loosely: on the big_atlas seed-1 bundles it leaves about twice as
-many rows unproven.)  D is inflated by
-`_BOUND_SLACK` on its value and on the largest coordinate, which covers the
-rounding of the snapshot, the sums and the means (about (i + K) units of
-1.1e-16 of the largest coordinate).  The run of proven rows joins in one
-`np.add.accumulate`, which adds in sequence, so the running sum gets the bits
-of one `+=` a row.  The first row not proven takes the full scan's step at
-the current centroid, and the chunk goes on past it with that row's own
-orientation in D.  So the cluster is bit for bit the full scan's.  Input
-with a NaN or an infinite coordinate, or so large (past about 1e153) that a
-squared point distance could overflow, takes the general loop.
+many rows unproven.)  D is inflated by `_BOUND_SLACK` on its value and on
+the largest coordinate, which covers the rounding of the snapshot, the sums
+and the means (about (i + K) units of 1.1e-16 of the largest coordinate).
+The run of proven rows joins in one `np.add.accumulate`, which adds in
+sequence, so the running sum gets the bits of one `+=` a row.  The first row
+not proven takes the full scan's step at the current centroid, and the chunk
+goes on past it with that row's own orientation in D.  So the cluster is bit
+for bit the full scan's.  Input with a NaN or an infinite coordinate, or so
+large (past about 1e153) that a squared point distance could overflow, takes
+the general loop.
 """
 from __future__ import annotations
 

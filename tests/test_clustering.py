@@ -337,9 +337,9 @@ def test_infinite_threshold_cases_exercise_their_paths(monkeypatch):
     clusters = quickbundles(lines, threshold)
     assert entered == [len(lines)] and len(clusters) == 1
     assert len(PALINDROME_ROWS) <= len(exact) < len(lines) // 10
+    entered.clear()
     lines, threshold = nan_arc_case()
-    clusters = quickbundles(lines, threshold)
-    assert entered == [len(long_arc_case()[0])] and len(clusters) > 2
+    assert len(quickbundles(lines, threshold)) > 2 and entered == []
 
 
 def test_temporaries_stay_bounded():
