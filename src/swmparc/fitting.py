@@ -11,29 +11,28 @@ Families and their parameters:
 `select_best` fits any number of sample sets in one array pass.  The sets,
 shortest first, are stacked as rows in chunks of at most `_CHUNK_ELEMENTS`
 values (or one set), each row padded to the chunk's longest set, and each
-family is fit to all rows of a chunk at once, the Newton solves below in
-lockstep with each row stopping by its own rules.  Every row sum is masked to
+family is fit to all rows of a chunk at once.  Every row sum is masked to
 the row's own samples, which numpy adds as it adds the set alone, so a set's
 fit does not depend on the other sets and is the one `fit_family` gives.
 
 Positive-support families are fit on y = x + shift with shift chosen so the
 samples are strictly positive; the shift is recorded in the fit and undone by
 pdf/cdf/quantile.  All fits maximize the likelihood.  Normal and log-normal
-are closed form.  Gamma and beta solve their likelihood equations by Newton's
-method (T. Minka, "Estimating a Gamma distribution", 2002, and "Estimating a
-Dirichlet distribution", 2000): gamma's shape is the root of
-log a - digamma(a) = log mean(y) - mean(log y), its scale mean(y) / a; beta's
-(alpha, beta) are where the digamma differences equal mean log u and
-mean log(1 - u).  Burr maximizes its profile likelihood over (log c, log lam),
-with k at its MLE n / sum(log1p((y/lam)^c)), by Newton's method from a
-moment start: the gradient and Hessian come from the same z = c (log y -
-log lam) as the value, eigenvalues of a Hessian that is not positive definite
-are replaced by their magnitudes, and a step moves log c and log lam by at
-most 0.5 and is halved until the likelihood falls.  The Burr solve ends with
-no fit at the first point it reaches outside c and k in [1e-3, 1e3], lam in
-[SIGMA_FLOOR, 1e6].  Each solve stops at a 1e-12 relative step, Burr's also
-after a step whose predicted fall is within the likelihood's rounding, or
-after _NEWTON_MAX_ITER steps, so every fit is deterministic.
+are closed form.  One Newton driver, `_newton`, descends the others' negative
+log-likelihoods over log parameters for all rows of a chunk in lockstep:
+gamma's over (log shape, log scale) from Minka's closed-form shape
+(T. Minka, "Estimating a Gamma distribution", 2002), beta's over (log alpha,
+log beta) from the moments, and Burr's profile likelihood over (log c,
+log lam), with k at its MLE n / sum(log1p((y/lam)^c)), from a moment start.
+Eigenvalues of a Hessian that is not positive definite are replaced by their
+magnitudes, and a step moves each log parameter by at most 0.5 and is halved
+until the likelihood falls.  A solve ends with no fit at the first point it
+reaches outside its box: gamma's and beta's parameters in [1e-6, 1e6], Burr's
+c and k in [1e-3, 1e3] and lam in [SIGMA_FLOOR, 1e6].  It stops after a step
+whose predicted fall is within the likelihood's rounding, when no step of
+more than 1e-12 falls, or after _NEWTON_MAX_ITER steps, so every fit is
+deterministic.  Every quantile is closed form, gamma's and beta's by scipy's
+gammaincinv and betaincinv.
 """
 from __future__ import annotations
 
@@ -42,7 +41,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaln, digamma, gammainc, gammaln, ndtr, ndtri, zeta
+from scipy.special import (betainc, betaincinv, betaln, digamma, gammainc, gammaincinv, gammaln,
+                           ndtr, ndtri, zeta)
 
 from .config import RunConfig
 
@@ -52,20 +52,18 @@ SIGMA_FLOOR = 1e-6
 POSITIVE_SHIFT = 1e-6
 _NEWTON_MAX_ITER = 50
 _NEWTON_RTOL = 1e-12
+# Newton: the longest step in each log parameter, a factor e^0.5, which
+# keeps a solve in the basin of its start where a longer one jumps past it
+# to the box's edge; and the predicted fall, relative to 1 + |nll|, below
+# which a step is the last
+_MAX_STEP = 0.5
+_FALL_RTOL = 1e-12
 # Burr: the box its lam and c must stay in, as (low, high) bounds of log c
-# and of log lam, a row each (k must stay in [1e-3, 1e3]); the longest step
-# in log c and log lam, a factor e^0.5, which keeps a solve in the basin of
-# its start where a longer one jumps past it to the box's edge; and the
-# predicted fall, relative to 1 + |nll|, below which a step is the last
+# and of log lam, a row each (k must stay in [1e-3, 1e3])
 _BURR_BOX = np.log([[1e-3, 1e3], [SIGMA_FLOOR, 1e6]])
-_BURR_MAX_STEP = 0.5
-_BURR_FALL_RTOL = 1e-12
-_BISECT_TOL = 1e-8
 # Most values a chunk of stacked sample sets holds (256 KB); a solve keeps
 # about a dozen temporaries of a chunk's size, whatever the number of sets
 _CHUNK_ELEMENTS = 1 << 15
-# beta's step, whole and halved 1 to 63 times, as factors in a column
-_HALVES = 0.5 ** np.arange(64.0)[:, None]
 
 
 @dataclass(frozen=True)
@@ -85,8 +83,7 @@ class FittedDistribution:
         return _CDF[self.family](self, x + self.shift)
 
     def quantile(self, p: float) -> float:
-        """Inverse CDF; closed form for normal/log-normal/burr, bisection on
-        the CDF (1e-8 absolute) for gamma/beta."""
+        """Inverse CDF, in closed form for every family."""
         if not 0.0 < p < 1.0:
             raise ValueError("p must lie in (0, 1)")
         return _QUANTILE[self.family](self, p) - self.shift
@@ -196,31 +193,13 @@ def _burr_quantile(d, p):
     return math.exp(log_q) if log_q < 700.0 else math.inf
 
 
-def _bisect_quantile(cdf, p, lo, hi):
-    for _ in range(200):
-        if cdf(np.asarray([hi]))[0] >= p:
-            break
-        lo, hi = hi, hi * 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if cdf(np.asarray([mid]))[0] < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_TOL:
-            break
-    return 0.5 * (lo + hi)
-
-
 def _gamma_quantile(d, p):
-    a, s = d.params["shape"], d.params["scale"]
-    hi = s * (a + 10.0 * math.sqrt(a) + 10.0)
-    return _bisect_quantile(lambda y: _gamma_cdf(d, y), p, 0.0, hi)
+    return d.params["scale"] * float(gammaincinv(d.params["shape"], p))
 
 
 def _beta_quantile(d, p):
     lo, hi = d.support
-    return _bisect_quantile(lambda y: _beta_cdf(d, y), p, lo, hi)
+    return lo + (hi - lo) * float(betaincinv(d.params["alpha"], d.params["beta"], p))
 
 
 _PDF = {"normal": _normal_pdf, "log-normal": _lognormal_pdf, "gamma": _gamma_pdf,
@@ -258,8 +237,12 @@ def _stacked(sets) -> _Rows:
 
 
 def _taken(rows, keep):
-    """The rows `keep` of a _Rows or _Histograms."""
-    return type(rows)(*(v if v is True else v[keep] for v in rows))
+    """The rows `keep` of an array, or of each item of a tuple of them, a
+    _Rows or a _Histograms among them."""
+    if isinstance(rows, np.ndarray):
+        return rows[keep]
+    taken = [v if v is True else _taken(v, keep) for v in rows]
+    return rows._make(taken) if hasattr(rows, "_make") else tuple(taken)
 
 
 def _row_sums(v: np.ndarray, rows: _Rows) -> np.ndarray:
@@ -313,96 +296,154 @@ def _fit_lognormal(rows: _Rows) -> _Fits:
     return _Fits({"mu": _row_means(logs, rows), "sigma": sigma}, np.ones(len(rows.n), bool), shift)
 
 
+def _descent_step(gradient: np.ndarray, hessian: np.ndarray) -> np.ndarray:
+    """Newton steps -H^-1 g for symmetric 2 x 2 H given as (h00, h01, h11), each
+    eigenvalue replaced by its magnitude, and at least 1e-12 of the largest,
+    where H is not positive definite; NaN where H is 0 or not a number."""
+    g0, g1 = gradient
+    a, b, d = hessian
+    det = a * d - b * b
+    step = np.array([(b * g1 - d * g0) / det, (b * g0 - a * g1) / det])
+    bent = ~((a > 0.0) & (det > 0.0) & np.isfinite(det))
+    if not bent.any():
+        return step
+    g0, g1, a, b, d = g0[bent], g1[bent], a[bent], b[bent], d[bent]
+    mid, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
+    big, small = mid + radius, mid - radius
+    floor = 1e-12 * np.maximum(np.abs(big), np.abs(small))
+    # unit eigenvector of the larger eigenvalue: the longer row of H - big I
+    # turned a quarter; the other eigenvector is its normal
+    first = np.abs(big - d) >= np.abs(big - a)
+    v0, v1 = np.where(first, big - d, b), np.where(first, b, big - a)
+    norm = np.hypot(v0, v1)
+    v0, v1 = np.where(norm > 0.0, v0 / norm, 1.0), np.where(norm > 0.0, v1 / norm, 0.0)
+    along = -(v0 * g0 + v1 * g1) / np.maximum(np.abs(big), floor)
+    across = -(v0 * g1 - v1 * g0) / np.maximum(np.abs(small), floor)
+    step[:, bent] = np.where((0.0 < floor) & (floor < np.inf),
+                             [along * v0 - across * v1, along * v1 + across * v0], np.nan)
+    return step
+
+
+def _newton(data, t: np.ndarray, ok: np.ndarray, objective, derivatives,
+            inside) -> tuple[np.ndarray, np.ndarray]:
+    """Newton descents, in lockstep, of the rows of `data` (an array, or a
+    tuple of arrays and _Rows) where `ok` is set, from the columns of t, a
+    (2, S) array.  `objective(data, t)` gives the values, inf where not
+    finite, and a tuple of per-row state arrays; `derivatives(data, t, state)`
+    the gradients (2, S) and Hessians (h00, h01, h11); `inside(data, t,
+    state)` whether t is in the box.  Returns where each row ends, and `ok`
+    cleared where a row starts or steps out of the box or has no step."""
+    end_t, live = t.copy(), np.flatnonzero(ok)
+    data, t = _taken(data, live), t[:, live]
+    f, state = objective(data, t)
+    keep = np.isfinite(f) & inside(data, t, state)
+    ok[live[~keep]] = False
+    for _ in range(_NEWTON_MAX_ITER):
+        if not keep.all():
+            live, data, t, f = live[keep], _taken(data, keep), t[:, keep], f[keep]
+            state = tuple(v[keep] for v in state)
+        if not len(live):
+            break
+        gradient, hessian = derivatives(data, t, state)
+        step = _descent_step(gradient, hessian)
+        longest = np.abs(step).max(axis=0)
+        stepped = np.isfinite(longest)
+        step = np.where(longest > _MAX_STEP, step * _MAX_STEP / longest, step)
+        # a step whose predicted fall is within the value's rounding is the
+        # last; it is taken without a fall test, which rounding would decide
+        fall = -(gradient[0] * step[0] + gradient[1] * step[1])
+        last = fall <= _FALL_RTOL * (1.0 + np.abs(f))
+        trial = t + step
+        f_trial, trial_state = objective(data, trial)
+        accepted = stepped & ((f_trial < f) | last & (f_trial < np.inf))
+        halving = np.flatnonzero(stepped & ~accepted & (np.abs(step).max(axis=0) > _NEWTON_RTOL))
+        while len(halving):
+            step[:, halving] *= 0.5
+            part = t[:, halving] + step[:, halving]
+            f_part, part_state = objective(_taken(data, halving), part)
+            fell = (f_part < f[halving]) | last[halving] & (f_part < np.inf)
+            at = halving[fell]
+            trial[:, at], f_trial[at], accepted[at] = part[:, fell], f_part[fell], True
+            for whole, piece in zip(trial_state, part_state):
+                whole[at] = piece[fell]
+            halving = halving[~fell & (np.abs(step[:, halving]).max(axis=0) > _NEWTON_RTOL)]
+        # a row whose value falls no more above rounding ends where it
+        # stands, one after its last step where that takes it
+        within = inside(data, trial, trial_state)
+        ok[live[~stepped | accepted & ~within]] = False
+        end_t[:, live] = np.where(accepted, trial, t)
+        t, f, state, keep = trial, f_trial, trial_state, accepted & within & ~last
+    return end_t, ok
+
+
+def _gamma_nll(data, t: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Gamma negative log-likelihoods of the rows, data = (n, mean log y,
+    mean y), at t = (log shape, log scale), inf where not finite; no state."""
+    n, mean_log, mean = data
+    a = np.exp(t[0])
+    val = n * (gammaln(a) + a * t[1] - (a - 1.0) * mean_log + mean * np.exp(-t[1]))
+    return np.where(np.isfinite(val), val, np.inf), ()
+
+
+def _gamma_derivatives(data, t: np.ndarray, state) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients and Hessians (h00, h01, h11) of `_gamma_nll` over t."""
+    n, mean_log, mean = data
+    a, s = np.exp(t)
+    g0 = n * a * (digamma(a) + t[1] - mean_log)
+    return (np.array([g0, n * (a - mean / s)]),
+            np.array([g0 + n * a * a * zeta(2.0, a), n * a, n * mean / s]))
+
+
 def _fit_gamma(rows: _Rows) -> _Fits:
     shift = _positive_shift(rows.x)
     y = rows.x + shift[:, None]
-    mean = _row_means(y, rows)
+    mean, mean_log = _row_means(y, rows), _row_means(np.log(y), rows)
     # at the scale's MLE mean / a the likelihood is stationary where
     # log a - digamma(a) = log mean(y) - mean(log y); the right side is 0 but
     # for rounding when the samples are equal
-    target = np.log(mean) - _row_means(np.log(y), rows)
-    ok = target > 0.0
-    # Minka's closed-form start and generalized Newton step on 1 / a.  A shape
-    # past the sane range is rejected anyway; past a few hundred the step
-    # stalls at the rounding of log a - digamma(a), so a step no smaller than
-    # the last ends the solve
+    target = np.log(mean) - mean_log
+    # Minka's closed-form start, with the scale at its MLE for that shape
     a = (3.0 - target + np.sqrt((target - 3.0) ** 2 + 24.0 * target)) / (12.0 * target)
-    active, last = ok.copy(), np.full(len(y), np.inf)
-    for _ in range(_NEWTON_MAX_ITER):
-        ok &= ~active | _sane_params(a)
-        active &= ok
-        if not active.any():
-            break
-        # done rows take a shape of 1: zeta(2, a) is slow for a far below 0
-        at = np.where(active, a, 1.0)
-        gap = np.log(at) - digamma(at) - target
-        new = 1.0 / (1.0 / at + gap / (at * at * (1.0 / at - zeta(2.0, at))))
-        step = np.abs(new - at)
-        a = np.where(active, new, a)
-        active &= ~((step <= _NEWTON_RTOL * a) | (step >= last))
-        last = step
-    scale = np.maximum(mean / a, SIGMA_FLOOR)
-    return _Fits({"shape": a, "scale": scale}, ok & _sane_params(a, scale), shift)
+    t, ok = np.log([a, mean / a]), target > 0.0
+    t, ok = _newton((rows.n, mean_log, mean), t, ok, _gamma_nll, _gamma_derivatives, _in_sane_box)
+    a, scale = np.exp(t)
+    return _Fits({"shape": a, "scale": scale}, ok, shift)
+
+
+def _beta_nll(data, t: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Beta negative log-likelihoods of the rows, data = (n, mean log u,
+    mean log(1 - u)), at t = (log alpha, log beta), inf where not finite."""
+    n, mean_logu, mean_log1mu = data
+    a, b = np.exp(t)
+    val = n * ((1.0 - a) * mean_logu + (1.0 - b) * mean_log1mu + betaln(a, b))
+    return np.where(np.isfinite(val), val, np.inf), ()
+
+
+def _beta_derivatives(data, t: np.ndarray, state) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients and Hessians (h00, h01, h11) of `_beta_nll` over t; zeta(2, .)
+    is the trigamma function."""
+    n, mean_logu, mean_log1mu = data
+    a, b = np.exp(t)
+    params = np.array([a, b, a + b])
+    psi_a, psi_b, psi_ab = digamma(params)
+    tri_a, tri_b, tri_ab = zeta(2.0, params)
+    g0, g1 = n * a * (psi_a - psi_ab - mean_logu), n * b * (psi_b - psi_ab - mean_log1mu)
+    return (np.array([g0, g1]),
+            np.array([g0 + n * a * a * (tri_a - tri_ab), -n * a * b * tri_ab,
+                      g1 + n * b * b * (tri_b - tri_ab)]))
 
 
 def _fit_beta(rows: _Rows) -> _Fits:
     lo, hi = rows.x.min(axis=1) - 1e-6, rows.x.max(axis=1) + 1e-6
     u = (rows.x - lo[:, None]) / (hi - lo)[:, None]
     m, v = _row_means(u, rows), _row_vars(u, rows)
-    ok = v > 0.0
     common = np.maximum(m * (1.0 - m) / v - 1.0, 1e-3)
-    a, b = np.maximum(m * common, 1e-3), np.maximum((1.0 - m) * common, 1e-3)
-    mean_logu, mean_log1mu = _row_means(np.log(u), rows), _row_means(np.log1p(-u), rows)
-
-    def nll(a, b, at=slice(None)):
-        # per sample, of the rows `at`; convex in (a, b)
-        return (1.0 - a) * mean_logu[at] + (1.0 - b) * mean_log1mu[at] + betaln(a, b)
-
-    # Newton on the gradient digamma(a) - digamma(a + b) - mean log u,
-    # digamma(b) - digamma(a + b) - mean log(1 - u), with the trigamma
-    # (zeta(2, .)) Hessian; a step is halved until both parameters stay
-    # positive and the likelihood does not fall
-    f = nll(a, b)
-    ok &= np.isfinite(f)                # a sample at an end of the support
-    live = np.flatnonzero(ok)           # the rows still stepping
-    for _ in range(_NEWTON_MAX_ITER):
-        if not len(live):
-            break
-        al, bl = a[live], b[live]
-        params = np.stack((al, bl, al + bl))
-        psi_a, psi_b, psi_ab = digamma(params)
-        tri_a, tri_b, tri_ab = zeta(2.0, params)
-        ga, gb = psi_a - psi_ab - mean_logu[live], psi_b - psi_ab - mean_log1mu[live]
-        haa, hbb = tri_a - tri_ab, tri_b - tri_ab
-        det = haa * hbb - tri_ab * tri_ab
-        bad = ~((0.0 < det) & (det < np.inf))
-        ok[live[bad]] = False
-        da, db = -(hbb * ga + tri_ab * gb) / det, -(haa * gb + tri_ab * ga) / det
-        near = ~bad & (np.abs(da) <= _NEWTON_RTOL * al) & (np.abs(db) <= _NEWTON_RTOL * bl)
-        a[live[near]], b[live[near]] = al[near] + da[near], bl[near] + db[near]
-        # the whole steps, then where they rise the steps halved 1 to 63 times
-        # (past that they are below rounding) at once, in slices of rows
-        # within a chunk's size: unlike Burr's, a trial costs no pass over the
-        # samples.  A row none of whose steps falls, or whose step is below
-        # 1e-12 relative, ends where it stands
-        going, trying = np.zeros(len(live), bool), np.flatnonzero(~bad & ~near)
-        for halves in (_HALVES[:1], _HALVES[1:]):
-            per, failed = max(1, _CHUNK_ELEMENTS // len(halves)), []
-            for part in (trying[k:k + per] for k in range(0, len(trying), per)):
-                at = live[part]
-                ta, tb = a[at] + da[part] * halves, b[at] + db[part] * halves
-                tf = nll(ta, tb, at)
-                fell = (ta > 0.0) & (tb > 0.0) & (tf <= f[at])
-                found, first = fell.any(axis=0), fell.argmax(axis=0)
-                cols, first = np.flatnonzero(found), first[found]
-                ta, tb, tf, at = ta[first, cols], tb[first, cols], tf[first, cols], at[cols]
-                going[part[cols]] = ((np.abs(ta - a[at]) > _NEWTON_RTOL * ta)
-                                     | (np.abs(tb - b[at]) > _NEWTON_RTOL * tb))
-                a[at], b[at], f[at] = ta, tb, tf
-                failed.append(part[~found])
-            trying = np.concatenate(failed) if failed else trying
-        live = live[going]
-    return _Fits({"alpha": a, "beta": b}, ok & _sane_params(a, b), np.zeros(len(a)), (lo, hi))
+    t = np.log([np.maximum(m * common, 1e-3), np.maximum((1.0 - m) * common, 1e-3)])
+    data = (rows.n, _row_means(np.log(u), rows), _row_means(np.log1p(-u), rows))
+    # a row with a sample at an end of the support has no finite likelihood
+    t, ok = _newton(data, t, v > 0.0, _beta_nll, _beta_derivatives, _in_sane_box)
+    a, b = np.exp(t)
+    return _Fits({"alpha": a, "beta": b}, ok, np.zeros(len(a)), (lo, hi))
 
 
 def _burr_nll(logs: _Rows, sum_logy: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -448,98 +489,31 @@ def _burr_derivatives(logs: _Rows, t: np.ndarray, state) -> tuple[np.ndarray, np
     return gradient, hessian
 
 
-def _descent_step(gradient: np.ndarray, hessian: np.ndarray) -> np.ndarray:
-    """Newton steps -H^-1 g for symmetric 2 x 2 H given as (h00, h01, h11), each
-    eigenvalue replaced by its magnitude, and at least 1e-12 of the largest,
-    where H is not positive definite; NaN where H is 0 or not a number."""
-    g0, g1 = gradient
-    a, b, d = hessian
-    det = a * d - b * b
-    step = np.array([(b * g1 - d * g0) / det, (b * g0 - a * g1) / det])
-    bent = ~((a > 0.0) & (det > 0.0) & np.isfinite(det))
-    if not bent.any():
-        return step
-    g0, g1, a, b, d = g0[bent], g1[bent], a[bent], b[bent], d[bent]
-    mid, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
-    big, small = mid + radius, mid - radius
-    floor = 1e-12 * np.maximum(np.abs(big), np.abs(small))
-    # unit eigenvector of the larger eigenvalue: the longer row of H - big I
-    # turned a quarter; the other eigenvector is its normal
-    first = np.abs(big - d) >= np.abs(big - a)
-    v0, v1 = np.where(first, big - d, b), np.where(first, b, big - a)
-    norm = np.hypot(v0, v1)
-    v0, v1 = np.where(norm > 0.0, v0 / norm, 1.0), np.where(norm > 0.0, v1 / norm, 0.0)
-    along = -(v0 * g0 + v1 * g1) / np.maximum(np.abs(big), floor)
-    across = -(v0 * g1 - v1 * g0) / np.maximum(np.abs(small), floor)
-    step[:, bent] = np.where((0.0 < floor) & (floor < np.inf),
-                             [along * v0 - across * v1, along * v1 + across * v0], np.nan)
-    return step
-
-
-def _in_burr_box(t: np.ndarray, n: np.ndarray, total: np.ndarray) -> np.ndarray:
+def _in_burr_box(data, t: np.ndarray, state) -> np.ndarray:
     """c, k in [1e-3, 1e3], lam in [SIGMA_FLOOR, 1e6] at t, with k = n / total."""
-    k = n / total
+    k = data[0].n / state[2]
     inside = (_BURR_BOX[:, :1] <= t) & (t <= _BURR_BOX[:, 1:])
     return inside[0] & inside[1] & (1e-3 <= k) & (k <= 1e3)
+
+
+def _in_sane_box(data, t: np.ndarray, state) -> np.ndarray:
+    """Both parameters exp(t) in the sane range, for gamma and beta."""
+    return _sane_params(*np.exp(t))
 
 
 def _fit_burr(rows: _Rows) -> _Fits:
     shift = _positive_shift(rows.x)
     y = rows.x + shift[:, None]
-    logy = np.log(y)
-    spread = _row_stds(logy, rows)
+    logs = rows._replace(x=np.log(y))
+    spread = _row_stds(logs.x, rows)
     t = np.array([np.log(np.maximum(math.pi / (math.sqrt(3.0) * spread), 0.1)),
                   np.log(_row_medians(y, rows))])
-    # where each row's solve stands; the arrays of the live rows shrink as rows end
-    end_t, end_total, ok = t.copy(), np.ones(len(y)), spread > 0.0
-    live = np.flatnonzero(ok)
-    logs, t = _taken(rows._replace(x=logy), live), t[:, live]
-    sum_logy = _row_sums(logs.x, logs)
-    f, state = _burr_nll(logs, sum_logy, t)
-    keep = np.isfinite(f) & _in_burr_box(t, logs.n, state[2])
-    ok[live[~keep]] = False
-    for _ in range(_NEWTON_MAX_ITER):
-        if not keep.all():
-            live, logs, sum_logy = live[keep], _taken(logs, keep), sum_logy[keep]
-            t, f = t[:, keep], f[keep]
-            state = tuple(v[keep] for v in state)
-        if not len(live):
-            break
-        gradient, hessian = _burr_derivatives(logs, t, state)
-        step = _descent_step(gradient, hessian)
-        longest = np.abs(step).max(axis=0)
-        stepped = np.isfinite(longest)
-        step = np.where(longest > _BURR_MAX_STEP, step * _BURR_MAX_STEP / longest, step)
-        # a step whose predicted fall is within the likelihood's rounding is
-        # the last; it is taken without a fall test, which rounding would
-        # decide
-        fall = -(gradient[0] * step[0] + gradient[1] * step[1])
-        last = fall <= _BURR_FALL_RTOL * (1.0 + np.abs(f))
-        trial = t + step
-        f_trial, trial_state = _burr_nll(logs, sum_logy, trial)
-        accepted = stepped & ((f_trial < f) | last & (f_trial < np.inf))
-        halving = np.flatnonzero(stepped & ~accepted & (np.abs(step).max(axis=0) > _NEWTON_RTOL))
-        while len(halving):
-            step[:, halving] *= 0.5
-            part = t[:, halving] + step[:, halving]
-            f_part, part_state = _burr_nll(_taken(logs, halving), sum_logy[halving], part)
-            fell = (f_part < f[halving]) | last[halving] & (f_part < np.inf)
-            at = halving[fell]
-            trial[:, at], f_trial[at], accepted[at] = part[:, fell], f_part[fell], True
-            for whole, piece in zip(trial_state, part_state):
-                whole[at] = piece[fell]
-            halving = halving[~fell & (np.abs(step[:, halving]).max(axis=0) > _NEWTON_RTOL)]
-        # a row with no step, or whose step leaves the box, ends with no fit;
-        # one whose likelihood falls no more above rounding ends where it
-        # stands, one after its last step where that takes it
-        inside = _in_burr_box(trial, logs.n, trial_state[2])
-        ok[live[~stepped | accepted & ~inside]] = False
-        end_t[:, live] = np.where(accepted, trial, t)
-        end_total[live] = np.where(accepted, trial_state[2], state[2])
-        t, f, state, keep = trial, f_trial, trial_state, accepted & inside & ~last
-    c, lam = np.exp(end_t)
+    data = (logs, _row_sums(logs.x, logs))
+    t, ok = _newton(data, t, spread > 0.0, lambda data, t: _burr_nll(*data, t),
+                    lambda data, t, state: _burr_derivatives(data[0], t, state), _in_burr_box)
+    c, lam = np.exp(t)
     # k at the returned (c, lam)
-    return _Fits({"c": c, "k": rows.n / end_total, "lam": lam}, ok, shift)
+    return _Fits({"c": c, "k": rows.n / _burr_nll(*data, t)[1][2], "lam": lam}, ok, shift)
 
 
 _FITTERS = {"normal": _fit_normal, "log-normal": _fit_lognormal, "gamma": _fit_gamma,

@@ -320,23 +320,46 @@ class ResultData:
         return {b.bundle_id: b for b in self.bundles}
 
 
+def _result_bundle(entry, subject_count: int, where: str) -> ResultBundle:
+    """A bundle's `summary.json` entry as a `ResultBundle`, or an
+    `AtlasFormatError` that starts with ``where``."""
+    if not isinstance(entry, dict):
+        raise AtlasFormatError(f"{where}: expected a JSON object")
+    missing = [key for key in ("bundle_id", "status", "accepted") if key not in entry]
+    if missing:
+        raise AtlasFormatError(f"{where}: missing {', '.join(missing)}")
+    bundle_id, status, accepted = entry["bundle_id"], entry["status"], entry["accepted"]
+    if not isinstance(bundle_id, str):
+        raise AtlasFormatError(f"{where}: bundle_id must be a string")
+    if status not in ("recognized", "absent"):
+        raise AtlasFormatError(f"{where}: status must be recognized or absent")
+    # type() is int, unlike isinstance, rejects true and false
+    if not (isinstance(accepted, list) and all(type(i) is int and 0 <= i < subject_count
+                                               for i in accepted)
+            and len(set(accepted)) == len(accepted)):
+        raise AtlasFormatError(
+            f"{where}: accepted must be distinct integers in [0, {subject_count})")
+    return ResultBundle(bundle_id, status, np.asarray(accepted, dtype=np.int64))
+
+
 def read_result(directory) -> ResultData:
     path = os.path.join(directory, SUMMARY_NAME)
     summary = _load_json(path)
     _check_version(summary.get("format_version"), path)
-    bundles = tuple(
-        ResultBundle(
-            bundle_id=e["bundle_id"],
-            status=e["status"],
-            accepted_indices=np.asarray(e["accepted"], dtype=np.int64),
-        )
-        for e in summary["bundles"]
-    )
-    return ResultData(
-        bundles=bundles,
-        subject_count=int(summary["subject_count"]),
-        config=summary.get("config", {}),
-    )
+    missing = [key for key in ("subject_count", "bundles") if key not in summary]
+    if missing:
+        raise AtlasFormatError(f"{path}: missing {', '.join(missing)}")
+    subject_count, entries = summary["subject_count"], summary["bundles"]
+    if not (type(subject_count) is int and subject_count >= 0):
+        raise AtlasFormatError(f"{path}: subject_count must be an integer >= 0")
+    if not isinstance(entries, list):
+        raise AtlasFormatError(f"{path}: bundles must be a list")
+    bundles = tuple(_result_bundle(e, subject_count, f"{path}: bundle {i}")
+                    for i, e in enumerate(entries))
+    if len({b.bundle_id for b in bundles}) != len(bundles):
+        raise AtlasFormatError(f"{path}: duplicate bundle ids")
+    return ResultData(bundles=bundles, subject_count=subject_count,
+                      config=summary.get("config", {}))
 
 
 def write_truth(labels, path) -> None:

@@ -51,6 +51,25 @@ def fit_bits(fit):
     return fit.family, tuple(fit.params), np.array(values).tobytes()
 
 
+def bisect_quantile(cdf, p, lo, hi, tol=1e-8):
+    """The point where a cdf, called on a one-element array, crosses p: the
+    bracket [lo, hi] doubled at hi until it holds p, then bisected to tol.
+    The oracle that the closed-form quantiles are checked against."""
+    for _ in range(200):
+        if cdf(np.asarray([hi]))[0] >= p:
+            break
+        lo, hi = hi, hi * 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if cdf(np.asarray([mid]))[0] < p:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol:
+            break
+    return 0.5 * (lo + hi)
+
+
 def reference_bfgs(fg, x0, f0, g0, scale, maxfev, xatol, fatol):
     """The descent as it ran when every line-search trial also computed the
     gradient: ``fg(x)`` returns the cost and the gradient.  The oracle of

@@ -18,7 +18,6 @@ from swmparc.config import FEATURE_NAMES, RunConfig
 from swmparc.distances import mdf, mmea, pairwise_mmea
 from swmparc.fitting import (
     FittedDistribution,
-    _bisect_quantile,
     _burr_cdf,
     select_best,
 )
@@ -52,8 +51,8 @@ from swmparc.synth import (
 )
 from swmparc.tckio import TrackFileError, read_tck, write_tck
 
-from conftest import (ACCEPTANCE_LINES, fit_all_families, make_arc, random_streamlines,
-                      random_unit, registration_scenes)
+from conftest import (ACCEPTANCE_LINES, bisect_quantile, fit_all_families, make_arc,
+                      random_streamlines, random_unit, registration_scenes)
 
 
 def check(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -258,7 +257,7 @@ def test_criterion_05_distribution_fitting():
         dist = FittedDistribution("burr", {"c": c, "k": k, "lam": lam}, 0.0)
         for p in np.linspace(0.01, 0.99, 25):
             closed = dist.quantile(float(p))
-            bisected = _bisect_quantile(lambda y: _burr_cdf(dist, y), float(p), 0.0, 1e3)
+            bisected = bisect_quantile(lambda y: _burr_cdf(dist, y), float(p), 0.0, 1e3)
             burr_dev = max(burr_dev, abs(closed - bisected))
     elapsed = time.perf_counter() - t0
     ok = (hits >= 95 and sse_violations == 0 and burr_dev <= 1e-6

@@ -278,6 +278,58 @@ def test_exit_2_on_truth_length_mismatch(work, tmp_path):
                  "--out", str(tmp_path / "r.json")]) == 2
 
 
+def _drop(key):
+    return lambda doc: doc.pop(key)
+
+
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+def _set_bundle(key, value, index=0):
+    return lambda doc: doc["bundles"][index].__setitem__(key, value)
+
+
+MALFORMED_SUMMARIES = {
+    "no bundles": (_drop("bundles"), "missing bundles"),
+    "no subject_count": (_drop("subject_count"), "missing subject_count"),
+    "negative subject_count": (_set("subject_count", -1), "subject_count"),
+    "string subject_count": (_set("subject_count", "80"), "subject_count"),
+    "float subject_count": (_set("subject_count", 80.0), "subject_count"),
+    "bundles not a list": (_set("bundles", {}), "bundles must be a list"),
+    "bundle without accepted": (lambda doc: doc["bundles"][0].pop("accepted"),
+                                "bundle 0: missing accepted"),
+    "unknown status": (_set_bundle("status", "maybe"), "status"),
+    "duplicate bundle ids": (lambda doc: doc["bundles"][1].__setitem__(
+        "bundle_id", doc["bundles"][0]["bundle_id"]), "duplicate bundle ids"),
+    "accepted past the subject": (lambda doc: doc["bundles"][0]["accepted"].append(
+        doc["subject_count"]), "accepted"),
+    "negative accepted": (_set_bundle("accepted", [-1]), "accepted"),
+    "repeated accepted": (_set_bundle("accepted", [2, 2]), "accepted"),
+    "fractional accepted": (_set_bundle("accepted", [1.5]), "accepted"),
+    "boolean accepted": (_set_bundle("accepted", [True]), "accepted"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_SUMMARIES)
+def test_evaluate_exits_2_on_a_malformed_result(work, tmp_path, capsys, case):
+    # evaluate scores only a result whose summary is well formed; a bad one
+    # exits 2 with a message that names the summary and the fault
+    change, message = MALFORMED_SUMMARIES[case]
+    result = tmp_path / "res"
+    shutil.copytree(work / "res1", result)
+    path = result / "summary.json"
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["evaluate", "--result", str(result), "--truth", str(work / "scene" / "truth.json"),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err and message in err, err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_exit_2_on_bad_config(work, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"resample_k": -4}))

@@ -19,7 +19,6 @@ import swmparc.fitting as fitting
 from swmparc.fitting import (
     FAMILIES,
     FittedDistribution,
-    _bisect_quantile,
     _burr_cdf,
     _positive_shift,
     _sane_params,
@@ -29,7 +28,7 @@ from swmparc.fitting import (
     select_best,
 )
 
-from conftest import fit_all_families, fit_bits
+from conftest import bisect_quantile, fit_all_families, fit_bits
 
 
 def oracle_quantile(dist, p, lo, hi, points=400001):
@@ -80,7 +79,7 @@ def test_burr_closed_form_matches_bisection():
     dist = FittedDistribution("burr", FIXED["burr"], sse=0.0)
     for p in (0.05, 0.1, 0.5, 0.9, 0.99):
         closed = dist.quantile(p)
-        bisected = _bisect_quantile(lambda y: _burr_cdf(dist, y), p, 0.0, 1e3)
+        bisected = bisect_quantile(lambda y: _burr_cdf(dist, y), p, 0.0, 1e3)
         assert abs(closed - bisected) < 1e-6
 
 
@@ -472,11 +471,17 @@ def test_burr_derivatives_match_central_differences(family, n, seed, du, dv):
         assert hessian[i] == pytest.approx(bend, rel=1e-5, abs=1e-6 * (1.0 + abs(f)))
 
 
-def test_returned_burr_fits_are_stationary():
-    fitted = 0
+def stationary_cases():
+    """Twelve sample sets of each family's shape, of 8 to 200 samples, and
+    the degenerate sets."""
     cases = [draw_samples(family, [8, 9, 30, 200][case % 4], seed=1000 * case + 7)
              for family in FAMILIES for case in range(12)]
-    for samples in cases + list(DEGENERATE.values()):
+    return cases + list(DEGENERATE.values())
+
+
+def test_returned_burr_fits_are_stationary():
+    fitted = 0
+    for samples in stationary_cases():
         fit = fit_family(samples, "burr")
         if fit is None:
             continue
@@ -488,6 +493,33 @@ def test_returned_burr_fits_are_stationary():
         assert h00 > 0.0 and h00 * h11 - h01 * h01 > 0.0, (h00, h01, h11)
         fitted += 1
     assert fitted >= 20
+
+
+@pytest.mark.parametrize("family", ["gamma", "beta"])
+def test_returned_gamma_and_beta_fits_are_stationary(family):
+    # each returned fit solves its likelihood equations: for gamma
+    # log a - digamma(a) = log mean(y) - mean(log y) and a scale = mean(y),
+    # for beta digamma(alpha) - digamma(alpha + beta) = mean log u and
+    # digamma(beta) - digamma(alpha + beta) = mean log(1 - u)
+    fitted = 0
+    for samples in stationary_cases():
+        fit = fit_family(samples, family)
+        if fit is None:
+            continue
+        if family == "gamma":
+            y = samples + fit.shift
+            a, scale = fit.params["shape"], fit.params["scale"]
+            residuals = (math.log(a) - digamma(a) - (np.log(y.mean()) - np.log(y).mean()),
+                         a * scale / y.mean() - 1.0)
+        else:
+            lo, hi = fit.support
+            u = (samples - lo) / (hi - lo)
+            a, b = fit.params["alpha"], fit.params["beta"]
+            residuals = (digamma(a) - digamma(a + b) - np.log(u).mean(),
+                         digamma(b) - digamma(a + b) - np.log1p(-u).mean())
+        assert max(abs(v) for v in residuals) <= 1e-10, residuals
+        fitted += 1
+    assert fitted >= 50
 
 
 def test_burr_parameters_agree_with_the_box():
